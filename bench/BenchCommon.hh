@@ -17,15 +17,6 @@
  *   --perf               print per-mode wall clock and simulator
  *                        throughput (events/sec) lines, consumed by
  *                        tools/perf_baseline
- *   --threads N          run the simulation on N worker threads
- *                        (sharded conservative PDES; DESIGN.md §14).
- *                        N=1 (default) is the classic single-queue
- *                        kernel, byte-identical to earlier releases.
- *                        Incompatible with --metrics-csv (the
- *                        interval sampler walks live component state
- *                        from its own event). Benches that drive the
- *                        simulator directly (ablations, micro_*)
- *                        ignore the flag.
  *   --telemetry[=N]      arm packet-lineage telemetry, sampling one
  *                        packet in N (default 1 = every packet; 0
  *                        arms the hooks without sampling, for
@@ -85,7 +76,6 @@ struct BenchOptions {
     bool quick = false;
     bool fingerprint = false;
     bool perf = false; //!< print per-mode wall clock and events/sec
-    unsigned threads = 1; //!< PDES worker threads (1 = unsharded)
     std::string statsJsonPath;
     std::string tracePath;
     std::string metricsCsvPath;
@@ -216,21 +206,6 @@ init(int argc, char **argv)
             opts.fingerprint = true;
         } else if (std::strcmp(argv[i], "--perf") == 0) {
             opts.perf = true;
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --threads requires a count\n";
-                std::exit(2);
-            }
-            const char *arg = argv[++i];
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(arg, &end, 0);
-            if (end == arg || *end != '\0' || n == 0 || n > 256) {
-                std::cerr << "error: --threads needs an integer in "
-                             "[1, 256], got '"
-                          << arg << "'\n";
-                std::exit(2);
-            }
-            opts.threads = static_cast<unsigned>(n);
         } else if (std::strcmp(argv[i], "--stats-json") == 0) {
             if (i + 1 >= argc) {
                 std::cerr << "error: --stats-json requires a file\n";
@@ -361,12 +336,6 @@ init(int argc, char **argv)
 
     if (!opts.latencyReportPath.empty() && !opts.telemetry) {
         std::cerr << "error: --latency-report requires --telemetry\n";
-        std::exit(2);
-    }
-    if (opts.threads > 1 && !opts.metricsCsvPath.empty()) {
-        std::cerr << "error: --metrics-csv requires --threads 1 (the "
-                     "interval sampler reads live component state "
-                     "from a simulation event)\n";
         std::exit(2);
     }
     if (opts.telemetry) {

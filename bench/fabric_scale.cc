@@ -71,7 +71,6 @@ struct Settings {
     std::uint32_t messageBytes = 4096;
     unsigned seeds = 10;            //!< fingerprint-stability seeds
     unsigned patternMessages = 4;   //!< per host, pattern sweep
-    unsigned threads = 1;           //!< PDES workers (placement runs)
 };
 
 /** One benchmark topology. */
@@ -201,29 +200,11 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
     acfg.cpus = 4;
     const Topology topo = build(fabric, shape, acfg);
 
-    // Threaded run: one shard per switch; every host adapter lives on
-    // its edge switch's shard (net::Fabric::planShards). The pattern
-    // sweep and the seed-stability loop stay single-threaded — the
-    // placement runs are the scaling workload.
     obs::Telemetry *tel = obs::globalTelemetry();
     const std::string label =
         std::string(shape.name) + "/" + placementName(pl);
     if (tel)
         tel->beginRun(label);
-    net::ShardPlan plan;
-    obs::ShardedFingerprint shardedFp;
-    if (s.threads > 1) {
-        plan = fabric.planShards(topo.switchCount());
-        fabric.applyShardPlan(plan);
-        shardedFp.attach(sim);
-        if (tel)
-            tel->enableShards(plan.shards);
-    }
-    const auto hostShard = [&](unsigned h) -> std::size_t {
-        if (!sim.sharded())
-            return 0;
-        return plan.adapterShard[fabric.adapterIndex(*topo.hosts[h])];
-    };
 
     const unsigned collector = 0;
     const NodeId collectorId = topo.hosts[collector]->id();
@@ -288,27 +269,18 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
             hdr = a;
             dst = target->id();
         }
-        // The pump sends its first message at spawn time, so the
-        // spawn itself must land on the sender's shard.
-        sim::ShardGuard guard(sim, hostShard(h));
         sim.spawn(senderPump(*topo.hosts[h], dst, hdr, s.messages,
                              s.messageBytes, spacing, h));
     }
 
     sim::Tick lastAt = 0;
     std::uint64_t msgs = 0, bytes = 0;
-    {
-        sim::ShardGuard guard(sim, hostShard(collector));
-        sim.spawn(drainCollector(*topo.hosts[collector],
-                                 senders * s.messages, &lastAt, &msgs,
-                                 &bytes));
-    }
+    sim.spawn(drainCollector(*topo.hosts[collector],
+                             senders * s.messages, &lastAt, &msgs,
+                             &bytes));
 
     const auto t0 = std::chrono::steady_clock::now();
-    if (s.threads > 1)
-        sim.runSharded(s.threads);
-    else
-        sim.run();
+    sim.run();
     PlacementResult r;
     r.wallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
@@ -324,15 +296,7 @@ runPlacement(const Shape &shape, Placement pl, const Settings &s,
         r.handlerChunks += as->chunksStaged();
         r.dispatchStalls += as->dispatchStalls();
     }
-    if (sim.sharded()) {
-        // Deterministic per-shard stream merge (DESIGN.md §14): the
-        // legacy queue saw no events, so fold the shard digests into
-        // the same accumulator the single-threaded path uses.
-        shardedFp.combineInto(fp);
-        r.events = shardedFp.eventsFolded();
-    } else {
-        r.events = fp.eventsFolded();
-    }
+    r.events = fp.eventsFolded();
     r.fingerprint = fp.value();
     if (tel) {
         const obs::TelemetryStats &t = tel->finishRun();
@@ -474,7 +438,6 @@ main(int argc, char **argv)
         s.seeds = 3;
         s.patternMessages = 2;
     }
-    s.threads = opts.threads;
     for (int i = 1; i < argc; ++i) {
         auto take = [&](const char *flag) -> const char * {
             if (std::strcmp(argv[i], flag) != 0)
@@ -535,14 +498,13 @@ main(int argc, char **argv)
 
     bool gateFailed = false;
     std::printf("{\n  \"schema\": \"san-fabric-scale-v1\",\n"
-                "  \"quick\": %s,\n  \"threads\": %u,\n"
-                "  \"messages_per_sender\": %u,\n"
+                "  \"quick\": %s,\n  \"messages_per_sender\": %u,\n"
                 "  \"message_bytes\": %u,\n  \"filter_divisor\": %u,\n"
                 "  \"route_lookup\": {\"entries_small\": 1024, "
                 "\"entries_big\": 16384, \"ns_small\": %.3f, "
                 "\"ns_big\": %.3f, \"ratio\": %.3f},\n"
                 "  \"topologies\": {\n",
-                opts.quick ? "true" : "false", s.threads, s.messages,
+                opts.quick ? "true" : "false", s.messages,
                 s.messageBytes, kFilterDivisor, micro.nsSmall,
                 micro.nsBig, micro.ratio);
 

@@ -16,11 +16,8 @@ int
 main(int argc, char **argv)
 {
     san::apps::MpegParams params;
-    const san::bench::BenchOptions &opts =
-        san::bench::init(argc, argv);
-    if (opts.quick)
+    if (san::bench::init(argc, argv).quick)
         params.fileBytes = 512 * 1024;
-    params.cluster.threads = opts.threads;
     return san::bench::runFigure(
         "Fig 3: MPEG filter", "",
         [&](san::apps::Mode m) { return runMpegFilter(m, params); },

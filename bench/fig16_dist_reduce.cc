@@ -30,7 +30,6 @@ main(int argc, char **argv)
     for (unsigned p = 2; p <= 128; p *= 2) {
         ReductionParams params;
         params.nodes = p;
-        params.threads = opts.threads;
         ReductionRun normal =
             runReduction(false, ReduceKind::Distributed, params);
         ReductionRun active =
@@ -52,8 +51,7 @@ main(int argc, char **argv)
                             active.fingerprint));
         }
     }
-    // Same perf line shape as runFigure(), consumed by
-    // tools/perf_baseline's parallel section.
+    // Same perf line shape as runFigure().
     if (opts.perf) {
         const double cpu_ms =
             1e3 * static_cast<double>(std::clock() - c0) /

@@ -43,22 +43,6 @@ Cluster::Cluster(const ClusterParams &params)
     for (auto &s : storage_)
         s->start();
 
-    // Threaded run: shard one-component-per-logical-process (the
-    // single switch plus every adapter — a one-switch cluster has no
-    // coarser cut that parallelizes anything). The server/demux
-    // tasks started above are safe to start unsharded: they suspend
-    // on their receive channels without scheduling events, and
-    // resume on whichever shard pushes.
-    if (params.threads > 1) {
-        assert(obs::globalSampler() == nullptr &&
-               "--metrics-csv requires --threads 1");
-        plan_ = fabric_.planShards(1 + fabric_.adapters().size());
-        fabric_.applyShardPlan(plan_);
-        shardedFp_.attach(sim_);
-        if (obs::Telemetry *tel = obs::globalTelemetry())
-            tel->enableShards(plan_.shards);
-    }
-
     // When a sampler is installed (bench --metrics-csv), point it at
     // this cluster: re-register every component's gauges (the
     // previous cluster is gone) and chain it in front of the
@@ -107,34 +91,16 @@ Cluster::Cluster(const ClusterParams &params)
     }
 }
 
-std::size_t
-Cluster::hostShard(unsigned i)
-{
-    if (!sim_.sharded())
-        return 0;
-    return plan_.adapterShard[fabric_.adapterIndex(
-        hosts_.at(i)->hca())];
-}
-
-void
-Cluster::spawnOnHost(unsigned i, sim::Task task)
-{
-    sim::ShardGuard guard(sim_, hostShard(i));
-    sim_.spawn(std::move(task));
-}
-
 RunStats
 Cluster::collect(Mode mode)
 {
-    const sim::Tick end = params_.threads > 1
-                              ? sim_.runSharded(params_.threads)
-                              : sim_.run();
+    const sim::Tick end = sim_.run();
     if (obs::IntervalSampler *sampler = obs::globalSampler())
         sampler->finishRun(end);
     RunStats stats;
     stats.mode = mode;
     stats.execTime = end;
-    stats.eventsExecuted = sim_.executedEvents();
+    stats.eventsExecuted = sim_.events().executedEvents();
     for (auto &h : hosts_) {
         stats.hosts.push_back(h->cpu().breakdown(end));
         stats.hostIoBytes += h->ioTrafficBytes();
@@ -191,12 +157,6 @@ Cluster::collect(Mode mode)
         for (const auto &link : fabric_.links())
             f.creditsLost += link->creditsLost();
     }
-
-    // Sharded run: the legacy-queue observer saw nothing; seed the
-    // stat fold with the deterministic per-shard stream merge
-    // instead (DESIGN.md §14).
-    if (sim_.sharded())
-        shardedFp_.combineInto(fingerprint_);
 
     // Fold the end-of-run stat values on top of the per-event stream
     // so a run with identical timing but different results still

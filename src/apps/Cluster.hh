@@ -26,15 +26,6 @@ struct ClusterParams {
     unsigned hosts = 1;
     unsigned storageNodes = 1;
     unsigned switchPorts = 16;
-    /**
-     * Worker threads for the run. 1 (the default) is the historical
-     * single-queue kernel, bit-identical to every golden. >1 shards
-     * the cluster one-component-per-shard (switch, each HCA, each
-     * TCA) under the conservative PDES kernel; fingerprints are then
-     * stable across thread counts but differ from the single-thread
-     * stream (see DESIGN.md §14).
-     */
-    unsigned threads = 1;
     active::ActiveConfig active{};
     mem::MemorySystemParams hostMem = mem::hostMemoryParams();
     host::OsCostParams os{};
@@ -74,29 +65,13 @@ class Cluster
      */
     obs::RunFingerprint &fingerprint() { return fingerprint_; }
 
-    /**
-     * Spawn a task pinned to host @p i's shard (a plain spawn when
-     * threads == 1). The per-figure run functions start their host
-     * loops through this so the task's events land on the host's
-     * logical process.
-     */
-    void spawnOnHost(unsigned i, sim::Task task);
-
-    /** The shard plan in effect (default-constructed single-shard
-     *  plan when threads == 1). */
-    const net::ShardPlan &shardPlan() const { return plan_; }
-
     /** Run to completion and collect the paper's metrics. */
     RunStats collect(Mode mode);
 
   private:
-    std::size_t hostShard(unsigned i);
-
     ClusterParams params_;
     sim::Simulation sim_;
     obs::RunFingerprint fingerprint_;
-    obs::ShardedFingerprint shardedFp_;
-    net::ShardPlan plan_;
     net::Fabric fabric_;
     active::ActiveSwitch *sw_ = nullptr;
     std::vector<std::unique_ptr<host::Host>> hosts_;

@@ -108,7 +108,7 @@ runMpegFilter(Mode mode, const MpegParams &params)
             *kept_bytes += i_bytes;
             co_await color_reduce(h, buf, i_bytes);
         };
-        cluster.spawnOnHost(0, normalHostLoop(
+        cluster.sim().spawn(normalHostLoop(
             host, storage, params.fileBytes, params.blockBytes,
             outstandingRequests(mode), on_block));
     } else {
@@ -152,7 +152,7 @@ runMpegFilter(Mode mode, const MpegParams &params)
         loop.fileBytes = params.fileBytes;
         loop.blockBytes = params.blockBytes;
         loop.outstanding = outstandingRequests(mode);
-        cluster.spawnOnHost(0, activeHostLoop(host, loop, on_reply));
+        cluster.sim().spawn(activeHostLoop(host, loop, on_reply));
     }
 
     RunStats stats = cluster.collect(mode);

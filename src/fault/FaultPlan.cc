@@ -192,8 +192,7 @@ FaultPlan::addSpec(const FaultSpec &spec)
 void
 FaultPlan::addEvent(FaultEvent event)
 {
-    pendingKinds_.fetch_or(kindBit(event.kind),
-                           std::memory_order_relaxed);
+    pendingKinds_ |= kindBit(event.kind);
     events_.push_back(std::move(event));
 }
 
@@ -245,15 +244,10 @@ FaultPlan::eventDue(FaultKind kind, const std::string &target,
     bool still_pending = false;
     bool fired = false;
     for (FaultEvent &ev : events_) {
-        // consumed is written only by the shard owning ev.target;
-        // relaxed cross-shard reads at worst see a stale false and
-        // rescan (FaultPlan.hh).
-        std::atomic_ref<bool> consumed(ev.consumed);
-        if (ev.kind != kind ||
-            consumed.load(std::memory_order_relaxed))
+        if (ev.kind != kind || ev.consumed)
             continue;
         if (!fired && ev.target == target && now >= ev.at) {
-            consumed.store(true, std::memory_order_relaxed);
+            ev.consumed = true;
             fired = true;
             countInjection(kind);
             continue;
@@ -261,8 +255,7 @@ FaultPlan::eventDue(FaultKind kind, const std::string &target,
         still_pending = true;
     }
     if (!still_pending)
-        pendingKinds_.fetch_and(~kindBit(kind),
-                                std::memory_order_relaxed);
+        pendingKinds_ &= ~kindBit(kind);
     return fired;
 }
 
@@ -277,13 +270,9 @@ FaultPlan::describe() const
             oss << " seed " << spec.seed;
         oss << '\n';
     }
-    for (const FaultEvent &ev : events_) {
-        const bool consumed =
-            std::atomic_ref<bool>(const_cast<bool &>(ev.consumed))
-                .load(std::memory_order_relaxed);
+    for (const FaultEvent &ev : events_)
         oss << "at " << ev.at << " " << faultKindName(ev.kind) << " -> "
-            << ev.target << (consumed ? " (consumed)" : "") << '\n';
-    }
+            << ev.target << (ev.consumed ? " (consumed)" : "") << '\n';
     return oss.str();
 }
 

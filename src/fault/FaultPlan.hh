@@ -26,7 +26,6 @@
 #ifndef SAN_FAULT_FAULT_PLAN_HH
 #define SAN_FAULT_FAULT_PLAN_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -75,14 +74,6 @@ struct FaultEvent {
     sim::Tick at = 0;        //!< earliest tick the fault may fire
     FaultKind kind = FaultKind::None;
     std::string target;      //!< component name / handler id
-    /**
-     * Accessed through std::atomic_ref in sharded runs: only the
-     * shard owning @c target ever *writes* it (a fault fires at the
-     * component it names), but other shards' eventDue scans *read*
-     * it while deciding whether their kind is still pending. Relaxed
-     * is enough — a stale false only costs a redundant rescan, never
-     * a different result.
-     */
     bool consumed = false;
 };
 
@@ -189,8 +180,7 @@ class FaultPlan
     bool
     eventPending(FaultKind kind) const
     {
-        return (pendingKinds_.load(std::memory_order_relaxed) &
-                kindBit(kind)) != 0;
+        return (pendingKinds_ & kindBit(kind)) != 0;
     }
 
     /**
@@ -201,17 +191,12 @@ class FaultPlan
                   sim::Tick now);
 
     /** Total faults injected (sites + consumed events). */
-    std::uint64_t
-    injected() const
-    {
-        return injected_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t injected() const { return injected_; }
     /** Faults injected of one kind. */
     std::uint64_t
     injectedOf(FaultKind kind) const
     {
-        return injectedByKind_[static_cast<unsigned>(kind)].load(
-            std::memory_order_relaxed);
+        return injectedByKind_[static_cast<unsigned>(kind)];
     }
 
     std::uint64_t baseSeed() const { return baseSeed_; }
@@ -234,9 +219,8 @@ class FaultPlan
     void
     countInjection(FaultKind kind)
     {
-        injected_.fetch_add(1, std::memory_order_relaxed);
-        injectedByKind_[static_cast<unsigned>(kind)].fetch_add(
-            1, std::memory_order_relaxed);
+        ++injected_;
+        ++injectedByKind_[static_cast<unsigned>(kind)];
     }
 
     std::uint64_t siteSeed(FaultKind kind, const std::string &name) const;
@@ -245,16 +229,12 @@ class FaultPlan
     RecoveryParams recovery_{};
     std::vector<FaultSpec> specs_;
     std::vector<FaultEvent> events_;
-    // Shard-shared state. Each counter is a commutative tally and
-    // each event's consumed flag is written only by the shard owning
-    // its target, so relaxed atomics keep sharded runs both race-free
-    // and deterministic (DESIGN.md §14).
-    std::atomic<std::uint64_t> pendingKinds_{0};
+    std::uint64_t pendingKinds_ = 0;
     std::map<std::pair<unsigned, std::string>,
              std::unique_ptr<FaultSite>>
         sites_;
-    std::atomic<std::uint64_t> injected_{0};
-    std::atomic<std::uint64_t> injectedByKind_[faultKindCount]{};
+    std::uint64_t injected_ = 0;
+    std::uint64_t injectedByKind_[faultKindCount] = {};
 };
 
 /**

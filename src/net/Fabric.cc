@@ -39,122 +39,33 @@ Fabric::switchIndex(const Switch &sw) const
     return it->second;
 }
 
-std::size_t
-Fabric::adapterIndex(const Adapter &adapter) const
-{
-    const auto it = adapterIndexOf_.find(&adapter);
-    assert(it != adapterIndexOf_.end() &&
-           "adapter not owned by this fabric");
-    return it->second;
-}
-
 void
 Fabric::connect(Switch &sw, unsigned port, Adapter &adapter)
 {
-    const std::size_t si = switchIndex(sw);
-    const std::size_t ai = adapterIndex(adapter);
     Link &to_sw = newLink(adapter.name() + "->" + sw.name());
-    linkEnds_.push_back({false, ai, true, si});
     Link &to_ep = newLink(sw.name() + "->" + adapter.name());
-    linkEnds_.push_back({true, si, false, ai});
     sw.attachPort(port, to_ep, to_sw);
     adapter.attach(to_sw, to_ep);
 
-    adapterHome_[ai] = {static_cast<int>(si), port};
+    const auto it = adapterIndexOf_.find(&adapter);
+    assert(it != adapterIndexOf_.end() &&
+           "adapter not owned by this fabric");
+    adapterHome_[it->second] = {static_cast<int>(switchIndex(sw)),
+                                port};
 }
 
 void
 Fabric::connectSwitches(Switch &a, unsigned port_a, Switch &b,
                         unsigned port_b)
 {
-    const std::size_t ia = switchIndex(a);
-    const std::size_t ib = switchIndex(b);
     Link &ab = newLink(a.name() + "->" + b.name());
-    linkEnds_.push_back({true, ia, true, ib});
     Link &ba = newLink(b.name() + "->" + a.name());
-    linkEnds_.push_back({true, ib, true, ia});
     a.attachPort(port_a, ab, ba);
     b.attachPort(port_b, ba, ab);
-    switchAdj_[ia][port_a] = {static_cast<int>(ib),
-                              static_cast<int>(port_b)};
-    switchAdj_[ib][port_b] = {static_cast<int>(ia),
-                              static_cast<int>(port_a)};
-}
-
-ShardPlan
-Fabric::planShards(std::size_t shards) const
-{
-    const std::size_t n_sw = switches_.size();
-    const std::size_t n_ad = adapters_.size();
-    const std::size_t units = n_sw + n_ad;
-    assert(units > 0 && "plan an empty fabric?");
-
-    ShardPlan plan;
-    plan.shards = std::max<std::size_t>(1, std::min(shards, units));
-    plan.switchShard.resize(n_sw);
-    plan.adapterShard.resize(n_ad);
-
-    if (plan.shards <= n_sw) {
-        // The normal cut: contiguous switch blocks, adapters co-
-        // located with their home switch so endpoint traffic never
-        // crosses.
-        for (std::size_t i = 0; i < n_sw; ++i)
-            plan.switchShard[i] = i * plan.shards / n_sw;
-        for (std::size_t a = 0; a < n_ad; ++a) {
-            const int home = adapterHome_[a].first;
-            assert(home >= 0 && "adapter never connected");
-            plan.adapterShard[a] =
-                plan.switchShard[static_cast<std::size_t>(home)];
-        }
-    } else {
-        // Finer than per-switch: spread all units (switches first,
-        // then adapters, in creation order) over the shards. With
-        // shards == units this is the one-component-per-shard
-        // degenerate mode.
-        for (std::size_t i = 0; i < n_sw; ++i)
-            plan.switchShard[i] = i * plan.shards / units;
-        for (std::size_t a = 0; a < n_ad; ++a)
-            plan.adapterShard[a] = (n_sw + a) * plan.shards / units;
-    }
-
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-        const LinkEnds &e = linkEnds_[l];
-        const std::size_t src = e.srcIsSwitch
-                                    ? plan.switchShard[e.src]
-                                    : plan.adapterShard[e.src];
-        const std::size_t dst = e.dstIsSwitch
-                                    ? plan.switchShard[e.dst]
-                                    : plan.adapterShard[e.dst];
-        if (src == dst)
-            continue;
-        ++plan.boundaryLinks;
-        plan.lookahead = std::min(plan.lookahead,
-                                  links_[l]->params().propagation);
-    }
-    return plan;
-}
-
-void
-Fabric::applyShardPlan(const ShardPlan &plan)
-{
-    assert(plan.switchShard.size() == switches_.size());
-    assert(plan.adapterShard.size() == adapters_.size());
-    assert(linkEnds_.size() == links_.size());
-    assert(plan.lookahead >= 1 &&
-           "a zero-latency boundary link leaves no lookahead");
-
-    sim_.enableSharding(plan.shards, plan.lookahead);
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-        const LinkEnds &e = linkEnds_[l];
-        const std::size_t src = e.srcIsSwitch
-                                    ? plan.switchShard[e.src]
-                                    : plan.adapterShard[e.src];
-        const std::size_t dst = e.dstIsSwitch
-                                    ? plan.switchShard[e.dst]
-                                    : plan.adapterShard[e.dst];
-        if (src != dst)
-            links_[l]->setCrossShard(src, dst);
-    }
+    const auto ia = static_cast<int>(switchIndex(a));
+    const auto ib = static_cast<int>(switchIndex(b));
+    switchAdj_[ia][port_a] = {ib, static_cast<int>(port_b)};
+    switchAdj_[ib][port_b] = {ia, static_cast<int>(port_a)};
 }
 
 void

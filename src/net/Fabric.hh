@@ -42,29 +42,6 @@ enum class RouteSpread {
 };
 
 /**
- * A deterministic partition of a fabric's components into logical-
- * process shards for the parallel kernel (sim/Pdes.hh). Computed by
- * Fabric::planShards from the topology alone — never from the
- * thread count — so the same build always yields the same cut, and
- * N-thread fingerprints are stable across N.
- */
-struct ShardPlan {
-    std::size_t shards = 1;
-    /** Shard of each switch, by creation index. */
-    std::vector<std::size_t> switchShard;
-    /** Shard of each adapter, by creation index. */
-    std::vector<std::size_t> adapterShard;
-    /**
-     * Conservative lookahead: the minimum propagation latency over
-     * all boundary (shard-crossing) links. maxTick when no link
-     * crosses (degenerate single-shard plan).
-     */
-    sim::Tick lookahead = sim::maxTick;
-    /** Number of links whose endpoints land on different shards. */
-    std::size_t boundaryLinks = 0;
-};
-
-/**
  * A complete SAN: the container for every network component of one
  * simulated system.
  */
@@ -114,31 +91,6 @@ class Fabric
      */
     void computeRoutes(RouteSpread spread = RouteSpread::LowestPort);
 
-    /**
-     * Partition the component graph into (up to) @p shards logical
-     * processes. Switches are cut into contiguous creation-order
-     * blocks and each adapter follows its home switch, so the
-     * hot intra-node traffic (adapter <-> home switch) stays
-     * shard-local and only inter-switch cables cross. Asking for
-     * more shards than there are switches spreads every component —
-     * switches first, then adapters — across its own block instead
-     * (the degenerate one-component-per-shard mode the stress test
-     * exercises). The result depends only on the topology and
-     * @p shards, never on the thread count.
-     */
-    ShardPlan planShards(std::size_t shards) const;
-
-    /**
-     * Put the simulation into sharded mode per @p plan: enables
-     * sharding on the Simulation (shard count + lookahead) and marks
-     * every boundary link cross-shard. Call after wiring and
-     * computeRoutes(), before any event is scheduled.
-     */
-    void applyShardPlan(const ShardPlan &plan);
-
-    /** Creation index of @p adapter (for ShardPlan lookups). */
-    std::size_t adapterIndex(const Adapter &adapter) const;
-
     sim::Simulation &sim() { return sim_; }
     const LinkParams &linkParams() const { return linkParams_; }
     unsigned mtu() const { return adapterParams_.mtu; }
@@ -173,16 +125,6 @@ class Fabric
     std::vector<std::vector<std::pair<int, int>>> switchAdj_;
     /** Per adapter: (home switch index, port). */
     std::vector<std::pair<int, unsigned>> adapterHome_;
-    /** Per link (parallel to links_): sender and receiver, each a
-     * switch or an adapter. Filled by connect/connectSwitches; the
-     * shard planner walks it to find boundary links. */
-    struct LinkEnds {
-        bool srcIsSwitch;
-        std::size_t src;
-        bool dstIsSwitch;
-        std::size_t dst;
-    };
-    std::vector<LinkEnds> linkEnds_;
     /** @{ Creation-time indices: wiring never scans the owner
      * vectors (a 1k-switch fat-tree builds in linear time). */
     std::unordered_map<const Switch *, std::size_t> switchIndexOf_;

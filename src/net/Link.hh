@@ -79,24 +79,6 @@ class Link
         creditObserver_ = std::move(fn);
     }
 
-    /**
-     * Mark this link as a shard boundary: the sender lives on shard
-     * @p src, the receiver on shard @p dst. Deliveries and credit
-     * returns then cross via Simulation::crossSchedule instead of
-     * direct scheduling. Set by net::Fabric::applyShardPlan; only
-     * meaningful once the simulation is sharded.
-     */
-    void
-    setCrossShard(std::size_t src, std::size_t dst)
-    {
-        assert(src != dst && "not a boundary link");
-        assert(params_.propagation >= 1 &&
-               "boundary links need nonzero flight time for lookahead");
-        cross_ = true;
-        srcShard_ = src;
-        dstShard_ = dst;
-    }
-
     /** Queue a packet for transmission. Never blocks the caller. */
     void
     send(Packet pkt)
@@ -110,29 +92,9 @@ class Link
     /**
      * Return one receiver credit (the receiver drained a packet from
      * its input staging).
-     *
-     * Cross-shard links model the credit-update flit explicitly: the
-     * receiver's shard posts it back to the sender's shard, arriving
-     * one propagation delay later (which also keeps the timestamp
-     * within the conservative lookahead bound). Same-shard links
-     * keep the historical zero-delay return, so unsharded runs are
-     * bit-identical.
      */
     void
     returnCredit()
-    {
-        if (cross_) {
-            sim_.crossSchedule(srcShard_,
-                               sim_.now() + params_.propagation,
-                               [this] { creditReturned(); });
-            return;
-        }
-        creditReturned();
-    }
-
-  private:
-    void
-    creditReturned()
     {
         // A credit return for a packet that was never charged (or
         // charged twice) would silently inflate the pool past the
@@ -160,7 +122,6 @@ class Link
             creditObserver_();
     }
 
-  public:
     const std::string &name() const { return name_; }
     const LinkParams &params() const { return params_; }
     std::size_t queued() const { return queue_.size(); }
@@ -260,23 +221,11 @@ class Link
             // Arrival.start/.end describe the payload timing.
             const sim::Tick header_in =
                 first + sim::transferTime(headerBytes, psPerByte_);
-            if (cross_) {
-                // Boundary link: the delivery executes on the
-                // receiver's shard. header_in >= start + propagation
-                // >= now + lookahead, so the stamp is always safe to
-                // hand over at the next barrier.
-                sim_.crossSchedule(
-                    dstShard_, header_in,
-                    [this, p = std::move(pkt), first, end]() mutable {
-                        sink_(Arrival{std::move(p), first, end});
-                    });
-            } else {
-                sim_.events().schedule(
-                    header_in,
-                    [this, p = std::move(pkt), first, end]() mutable {
-                        sink_(Arrival{std::move(p), first, end});
-                    });
-            }
+            sim_.events().schedule(
+                header_in,
+                [this, p = std::move(pkt), first, end]() mutable {
+                    sink_(Arrival{std::move(p), first, end});
+                });
         }
     }
 
@@ -328,11 +277,6 @@ class Link
     std::uint64_t packets_ = 0;
     std::uint64_t bytes_ = 0;
     sim::Tick busyTicks_ = 0;
-
-    // Shard-boundary marking (sharded runs only; see setCrossShard).
-    bool cross_ = false;
-    std::size_t srcShard_ = 0;
-    std::size_t dstShard_ = 0;
 
     fault::FaultPlan *plan_ = nullptr;    //!< null: no faults, no cost
     fault::FaultSite *berSite_ = nullptr;

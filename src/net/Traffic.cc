@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace san::net {
 
@@ -34,6 +36,11 @@ TrafficGen::post(unsigned sender_slot, unsigned msg_index)
     // every hotInterleave-th message is hot until the hot budget is
     // spent, then the remaining ring messages drain.
     const unsigned total = params_.permMessages + params_.hotMessages;
+    if (msg_index >= total)
+        throw std::logic_error("TrafficGen: message " +
+                               std::to_string(msg_index) +
+                               " beyond the " + std::to_string(total) +
+                               "-message budget");
     unsigned hot_before = 0;
     const unsigned k = std::max(1u, params_.hotInterleave);
     for (unsigned j = 0; j < msg_index; ++j)
@@ -49,7 +56,6 @@ TrafficGen::post(unsigned sender_slot, unsigned msg_index)
     const unsigned perm_before = msg_index - hot_before;
     if (!hot && perm_before >= params_.permMessages)
         hot = true;
-    assert(msg_index < total);
 
     const unsigned src = senders_[sender_slot];
     unsigned dst;

@@ -20,12 +20,9 @@
 #define SAN_OBS_FINGERPRINT_HH
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
-#include <vector>
 
 #include "sim/EventQueue.hh"
-#include "sim/Simulation.hh"
 #include "sim/Types.hh"
 
 namespace san::obs {
@@ -103,79 +100,6 @@ class RunFingerprint : public sim::EventQueue::Observer
 
     std::uint64_t hash_ = 0;
     std::uint64_t events_ = 0;
-};
-
-/**
- * Fingerprint of a sharded run: one streaming RunFingerprint per
- * shard queue, each folding its own shard's event stream in (tick,
- * seq) execution order, combined deterministically in shard-id
- * order. Because the partition and the window sequence depend only
- * on the topology — never on the thread count — each per-shard
- * stream is bit-identical across worker counts and repeat runs, and
- * so is the combined digest. This is the "merge per-shard event
- * streams in deterministic order, then fold" rule of DESIGN.md §14.
- */
-class ShardedFingerprint
-{
-  public:
-    /** Attach one observer per shard queue of @p sim (which must be
-     *  sharded). Call once, before the run. */
-    void
-    attach(sim::Simulation &sim)
-    {
-        shards_.clear();
-        for (std::size_t s = 0; s < sim.shardCount(); ++s) {
-            shards_.push_back(std::make_unique<RunFingerprint>());
-            sim.shardQueue(s).setObserver(shards_.back().get());
-        }
-    }
-
-    std::size_t shardCount() const { return shards_.size(); }
-
-    /** Shard @p s's own stream digest (tests compare these across
-     *  thread counts directly). */
-    const RunFingerprint &shard(std::size_t s) const
-    {
-        return *shards_.at(s);
-    }
-
-    /** Total events executed across all shards. */
-    std::uint64_t
-    eventsFolded() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &f : shards_)
-            n += f->eventsFolded();
-        return n;
-    }
-
-    /**
-     * Fold the merged digest into @p into: the shard count, then
-     * every shard's (value, events) in shard order. @p into may
-     * carry prior folds (Cluster seeds its stat fingerprint this
-     * way) or be fresh.
-     */
-    void
-    combineInto(RunFingerprint &into) const
-    {
-        into.fold(static_cast<std::uint64_t>(shards_.size()));
-        for (const auto &f : shards_) {
-            into.fold(f->value());
-            into.fold(f->eventsFolded());
-        }
-    }
-
-    /** The combined run digest. */
-    std::uint64_t
-    value() const
-    {
-        RunFingerprint combined;
-        combineInto(combined);
-        return combined.value();
-    }
-
-  private:
-    std::vector<std::unique_ptr<RunFingerprint>> shards_;
 };
 
 } // namespace san::obs

@@ -1,9 +1,6 @@
 #include "obs/Telemetry.hh"
 
-#include <algorithm>
 #include <map>
-
-#include "sim/Pdes.hh"
 
 namespace san::obs {
 
@@ -64,25 +61,7 @@ Telemetry::beginRun(std::string label)
     packetsObserved_ = 0;
     bytesObserved_ = 0;
     records_.clear();
-    slices_.clear();
     sketch_.reset();
-}
-
-void
-Telemetry::enableShards(std::size_t shards)
-{
-    slices_.clear();
-    for (std::size_t s = 0; s < shards; ++s)
-        slices_.push_back(std::make_unique<Slice>());
-}
-
-Telemetry::Slice *
-Telemetry::currentSlice()
-{
-    if (slices_.empty())
-        return nullptr;
-    const std::size_t s = sim::pdes::currentShard();
-    return s < slices_.size() ? slices_[s].get() : nullptr;
 }
 
 std::shared_ptr<TelemetryRecord>
@@ -91,22 +70,6 @@ Telemetry::sample(std::uint32_t src, std::uint32_t dst, FlowClass fc,
 {
     if (rate_ == 0)
         return nullptr;
-    if (Slice *sl = currentSlice()) {
-        // Shard-local 1-in-N over this shard's own packet stream;
-        // uids stripe by shard so the merged registry stays unique
-        // and reproducible: uid = k * shards + shard + 1.
-        if (sl->seen++ % rate_ != 0)
-            return nullptr;
-        auto rec = std::make_shared<TelemetryRecord>();
-        rec->uid = sl->sampled++ * slices_.size() +
-                   sim::pdes::currentShard() + 1;
-        rec->flowClass = fc;
-        rec->src = src;
-        rec->dst = dst;
-        rec->bornAt = now;
-        sl->records.push_back(rec);
-        return rec;
-    }
     if (seen_++ % rate_ != 0)
         return nullptr;
     auto rec = std::make_shared<TelemetryRecord>();
@@ -122,25 +85,6 @@ Telemetry::sample(std::uint32_t src, std::uint32_t dst, FlowClass fc,
 const TelemetryStats &
 Telemetry::finishRun()
 {
-    // Fold the per-shard slices first (sharded runs): counters and
-    // sketches merge in shard order, records interleave by their
-    // striped uid. Both orders depend only on the partition, so the
-    // folded stats are identical for any worker-thread count.
-    if (!slices_.empty()) {
-        for (auto &sl : slices_) {
-            packetsObserved_ += sl->packetsObserved;
-            bytesObserved_ += sl->bytesObserved;
-            sketch_.merge(sl->sketch);
-            records_.insert(records_.end(), sl->records.begin(),
-                            sl->records.end());
-        }
-        slices_.clear();
-        std::sort(records_.begin(), records_.end(),
-                  [](const auto &a, const auto &b) {
-                      return a->uid < b->uid;
-                  });
-    }
-
     last_ = TelemetryStats{};
     last_.active = true;
     last_.sampleRate = rate_;

@@ -342,21 +342,6 @@ class FlowSketch
 
     std::size_t used() const { return used_; }
 
-    /**
-     * Fold @p other into this sketch: the standard space-saving
-     * merge (counts and overestimate bounds add; a takeover inherits
-     * the victim's count into the error bound). Entry order of
-     * @p other is its insertion order, so merging the same sketches
-     * in the same order is deterministic — the per-shard telemetry
-     * slices rely on that.
-     */
-    void
-    merge(const FlowSketch &other)
-    {
-        for (std::size_t i = 0; i < other.used_; ++i)
-            addEntry(other.slots_[i]);
-    }
-
     /** Top @p k entries by (bytes desc, key asc). */
     std::vector<Entry>
     top(std::size_t k) const
@@ -381,29 +366,6 @@ class FlowSketch
     }
 
   private:
-    void
-    addEntry(const Entry &e)
-    {
-        std::size_t minIdx = 0;
-        for (std::size_t i = 0; i < used_; ++i) {
-            if (slots_[i].key == e.key) {
-                slots_[i].bytes += e.bytes;
-                slots_[i].error += e.error;
-                return;
-            }
-            if (slots_[i].bytes < slots_[minIdx].bytes)
-                minIdx = i;
-        }
-        if (used_ < kEntries) {
-            slots_[used_++] = e;
-            return;
-        }
-        Entry &victim = slots_[minIdx];
-        victim.error = victim.bytes + e.error;
-        victim.bytes += e.bytes;
-        victim.key = e.key;
-    }
-
     std::array<Entry, kEntries> slots_{};
     std::size_t used_ = 0;
 };
@@ -490,24 +452,8 @@ class Telemetry
     std::uint64_t sampleRate() const { return rate_; }
     const std::string &runLabel() const { return label_; }
 
-    /** Reset per-run state (sampler phase, records, sketch). Also
-     * drops any per-shard slices — a sharded run re-arms them via
-     * enableShards() once its partition is known. */
+    /** Reset per-run state (sampler phase, records, sketch). */
     void beginRun(std::string label);
-
-    /**
-     * Arm per-shard routing for a sharded run: sampling decisions,
-     * records, packet counters, and the flow sketch all live in one
-     * slice per shard, written only by that shard's worker — no hot-
-     * path locks. finishRun() folds the slices deterministically
-     * (records interleave by uid = k * shards + shard + 1; sketches
-     * and counters merge in shard order), so the folded output is
-     * stable across thread counts. Call after beginRun(), before
-     * the run.
-     */
-    void enableShards(std::size_t shards);
-
-    std::size_t shardSlices() const { return slices_.size(); }
 
     /**
      * Sampling decision for a packet being born. Returns the new
@@ -527,12 +473,6 @@ class Telemetry
     {
         if (rate_ == 0)
             return;
-        if (Slice *sl = currentSlice()) {
-            ++sl->packetsObserved;
-            sl->bytesObserved += wireBytes;
-            sl->sketch.add(src, dst, wireBytes);
-            return;
-        }
         ++packetsObserved_;
         bytesObserved_ += wireBytes;
         sketch_.add(src, dst, wireBytes);
@@ -554,26 +494,12 @@ class Telemetry
     }
 
   private:
-    /** One shard's private telemetry state (sharded runs only). */
-    struct Slice {
-        std::uint64_t seen = 0;
-        std::uint64_t sampled = 0; //!< uids issued by this slice
-        std::uint64_t packetsObserved = 0;
-        std::uint64_t bytesObserved = 0;
-        std::vector<std::shared_ptr<TelemetryRecord>> records;
-        FlowSketch sketch;
-    };
-
-    /** The calling shard's slice, or null (unsharded / not armed). */
-    Slice *currentSlice();
-
     std::uint64_t rate_;
     std::uint64_t seen_ = 0;
     std::uint64_t nextUid_ = 1;
     std::uint64_t packetsObserved_ = 0;
     std::uint64_t bytesObserved_ = 0;
     std::vector<std::shared_ptr<TelemetryRecord>> records_;
-    std::vector<std::unique_ptr<Slice>> slices_;
     FlowSketch sketch_;
     TelemetryStats last_;
     std::string label_ = "run";

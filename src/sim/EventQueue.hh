@@ -760,26 +760,6 @@ class BasicEventQueue
         return now_;
     }
 
-    /**
-     * Run every event with tick strictly below @p limit, leaving
-     * events at or after @p limit pending and time at the last
-     * executed event (NOT advanced to @p limit). This is the
-     * conservative-window primitive of the sharded kernel: a shard
-     * granted the window [floor, horizon) may execute everything it
-     * can prove safe — ticks < horizon — but must not let now()
-     * overtake events a later cross-shard message could still insert
-     * at horizon or beyond.
-     */
-    Tick
-    runUntilBefore(Tick limit)
-    {
-        while (!sched_.empty() && sched_.minTick() < limit)
-            step();
-        assert((sched_.empty() || sched_.minTick() >= limit) &&
-               "runUntilBefore left an event below the limit");
-        return now_;
-    }
-
     /** Total number of events executed so far (for stats/benches). */
     std::uint64_t executedEvents() const { return nextSeq_ - size(); }
 

@@ -7,15 +7,11 @@
 #define SAN_SIM_SIMULATION_HH
 
 #include <cassert>
-#include <cstddef>
 #include <list>
-#include <memory>
 #include <string>
 #include <type_traits>
-#include <utility>
 
 #include "sim/EventQueue.hh"
-#include "sim/Pdes.hh"
 #include "sim/Task.hh"
 #include "sim/Tracer.hh"
 #include "sim/Types.hh"
@@ -26,14 +22,6 @@ namespace san::sim {
  * A single simulation run: an event queue plus a registry of detached
  * tasks. Spawned tasks are owned by the simulation and reaped once
  * complete.
- *
- * Optionally sharded (enableSharding + runSharded): the run then
- * executes on S per-shard event queues driven by worker threads
- * under the conservative barrier-window protocol of sim/Pdes.hh.
- * Component code stays oblivious — events()/now()/tracer() resolve
- * through the worker's thread-local shard context — and the default
- * single-queue path is untouched (one pointer compare per call), so
- * unsharded runs stay bit-identical to the historical kernel.
  */
 class Simulation
 {
@@ -42,71 +30,28 @@ class Simulation
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
 
-    /** The calling context's event queue: the shard queue inside a
-     *  sharded run or ShardGuard, the legacy queue otherwise. */
-    EventQueue &
-    events()
-    {
-        const auto &t = pdes::detail::tls();
-        if (t.owner == this)
-            return *t.queue;
-        return events_;
-    }
-
-    Tick
-    now() const
-    {
-        const auto &t = pdes::detail::tls();
-        if (t.owner == this)
-            return t.queue->now();
-        return events_.now();
-    }
+    EventQueue &events() { return events_; }
+    Tick now() const { return events_.now(); }
 
     /**
      * Attach (or clear) a tracer. Hardware models consult tracer()
      * before emitting spans, so a null tracer costs one branch.
-     * Sharded runs interpose a per-shard pdes::BufferingTracer so a
-     * single-threaded exporter never sees two shards at once.
      */
-    void
-    setTracer(Tracer *tracer)
-    {
-        tracer_ = tracer;
-        if (pdes_ && tracer != nullptr)
-            pdes_->enableTracing();
-    }
-
-    Tracer *
-    tracer() const
-    {
-        const auto &t = pdes::detail::tls();
-        if (t.owner == this)
-            return tracer_ != nullptr ? t.tracer : nullptr;
-        return tracer_;
-    }
+    void setTracer(Tracer *tracer) { tracer_ = tracer; }
+    Tracer *tracer() const { return tracer_; }
 
     /**
      * Start a detached task. The simulation owns the coroutine frame
      * until it finishes. Tasks begin executing immediately (at the
-     * current simulated time). In a sharded simulation the task is
-     * pinned to the calling context's shard (spawn under a
-     * ShardGuard at build time, or from the owning worker at run
-     * time): its frame joins that shard's registry and its first
-     * events land on that shard's queue.
+     * current simulated time).
      */
     void
     spawn(Task task)
     {
         assert(task.valid());
-        const auto &t = pdes::detail::tls();
-        assert((pdes_ == nullptr || t.owner == this) &&
-               "sharded spawn requires a shard context (ShardGuard)");
-        auto &list = (pdes_ != nullptr && t.owner == this)
-                         ? pdes_->taskList(t.shard)
-                         : tasks_;
-        reap(list);
+        reap();
         task.handle().promise().sim = this;
-        auto &slot = list.emplace_back(std::move(task));
+        auto &slot = tasks_.emplace_back(std::move(task));
         slot.handle().resume();
         if (slot.handle().promise().error)
             std::rethrow_exception(slot.handle().promise().error);
@@ -116,10 +61,8 @@ class Simulation
     Tick
     run()
     {
-        assert(pdes_ == nullptr &&
-               "sharded simulation must use runSharded()");
         Tick t = events_.run();
-        reap(tasks_);
+        reap();
         return t;
     }
 
@@ -134,104 +77,18 @@ class Simulation
         for (const auto &t : tasks_)
             if (!t.done())
                 ++n;
-        return n + (pdes_ ? pdes_->liveTasks() : 0);
+        return n;
     }
-
-    /** @{ ------------------------- Sharding ----------------------- */
-
-    /**
-     * Partition this simulation into @p shards logical processes
-     * with conservative lookahead @p lookahead (the minimum boundary
-     * link propagation; net::Fabric::applyShardPlan computes both).
-     * Must be called after components are built but before any event
-     * has been scheduled on the legacy queue; thereafter every spawn
-     * must name a shard (ShardGuard) and the run goes through
-     * runSharded().
-     */
-    void
-    enableSharding(std::size_t shards, Tick lookahead)
-    {
-        assert(pdes_ == nullptr && "sharding already enabled");
-        assert(events_.empty() && events_.now() == 0 &&
-               "enable sharding before scheduling events");
-        pdes_ = std::make_unique<pdes::ShardSet>(this, shards,
-                                                 lookahead);
-        if (tracer_ != nullptr)
-            pdes_->enableTracing();
-    }
-
-    bool sharded() const { return pdes_ != nullptr; }
-
-    /** Shard count (1 when unsharded). */
-    std::size_t shardCount() const { return pdes_ ? pdes_->shards() : 1; }
-
-    /** The conservative window width. */
-    Tick
-    lookahead() const
-    {
-        return pdes_ ? pdes_->lookahead() : maxTick;
-    }
-
-    /** Shard @p s's event queue (observers, tests). */
-    EventQueue &
-    shardQueue(std::size_t s)
-    {
-        assert(pdes_);
-        return pdes_->queue(s);
-    }
-
-    /**
-     * Post @p fn to run at @p when on shard @p dst. The boundary-link
-     * machinery (net::Link in cross-shard mode) is the only expected
-     * caller; the timestamp must honor the lookahead contract.
-     */
-    template <typename Fn>
-    void
-    crossSchedule(std::size_t dst, Tick when, Fn &&fn)
-    {
-        assert(pdes_);
-        pdes_->post(dst, when, std::function<void()>(std::forward<Fn>(fn)));
-    }
-
-    /**
-     * Run a sharded simulation to completion on @p threads workers.
-     * @return final simulated time (max over shard clocks). Replays
-     * buffered traces into the real tracer and reaps every shard's
-     * tasks before returning.
-     */
-    Tick
-    runSharded(std::size_t threads)
-    {
-        assert(pdes_ != nullptr && "enableSharding() first");
-        const Tick t = pdes_->run(threads);
-        pdes_->reapAll();
-        reap(tasks_);
-        if (tracer_ != nullptr)
-            pdes_->replayTraces(*tracer_);
-        return t;
-    }
-
-    /** Events executed across the legacy queue and every shard. */
-    std::uint64_t
-    executedEvents() const
-    {
-        return events_.executedEvents() +
-               (pdes_ ? pdes_->executedEvents() : 0);
-    }
-
-    /** @} */
 
   private:
-    friend class ShardGuard;
-
     void
-    reap(std::list<Task> &list)
+    reap()
     {
-        for (auto it = list.begin(); it != list.end();) {
+        for (auto it = tasks_.begin(); it != tasks_.end();) {
             if (it->done()) {
                 if (it->handle().promise().error)
                     std::rethrow_exception(it->handle().promise().error);
-                it = list.erase(it);
+                it = tasks_.erase(it);
             } else {
                 ++it;
             }
@@ -241,22 +98,6 @@ class Simulation
     EventQueue events_;
     std::list<Task> tasks_;
     Tracer *tracer_ = nullptr;
-    std::unique_ptr<pdes::ShardSet> pdes_;
-};
-
-/**
- * Scoped shard context for build-time spawns: everything spawned or
- * scheduled on @p sim while the guard is alive is pinned to
- * @p shard. Safe (a no-op) on unsharded simulations, so call sites
- * guard unconditionally.
- */
-class ShardGuard : public pdes::ShardGuard
-{
-  public:
-    ShardGuard(Simulation &sim, std::size_t shard)
-        : pdes::ShardGuard(&sim, sim.pdes_.get(), shard)
-    {
-    }
 };
 
 namespace detail {

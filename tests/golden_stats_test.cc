@@ -25,6 +25,7 @@
 #include "apps/Cluster.hh"
 #include "apps/Grep.hh"
 #include "apps/MpegFilter.hh"
+#include "apps/Reduction.hh"
 #include "harness/StatsReport.hh"
 #include "obs/Json.hh"
 
@@ -41,6 +42,16 @@ struct GoldenCase {
     const char *workload;
     apps::Mode mode;
 };
+
+/** Prints a case by value. Without this gtest dumps the struct's raw
+ * bytes, so the listed test names carry the address of the workload
+ * string (which differs on every build and run under ASLR) and
+ * uninitialised padding. */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.workload << "/" << apps::modeName(c.mode);
+}
 
 /** Small runs that still exercise hosts, switch CPUs, buffers, ATBs,
  * storage and adapters. */
@@ -161,6 +172,31 @@ TEST(GoldenFingerprint, FreshRunReproducesCommittedFingerprint)
     EXPECT_EQ(fresh.fingerprint, committed)
         << "the event kernel no longer reproduces the committed "
            "event stream";
+}
+
+TEST(GoldenFingerprint, DistributedReduce16NodesReproducesCommitted)
+{
+    // fig16's 16-node point, both variants: a two-level switch tree
+    // with multi-switch routing, link credit returns and (active)
+    // switch handlers. The constants were recorded from a known-good
+    // build.
+    if (policyForced())
+        GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY changes the event "
+                        "stream the fingerprint pins";
+    apps::ReductionParams p;
+    p.nodes = 16;
+    const apps::ReductionRun normal =
+        runReduction(false, apps::ReduceKind::Distributed, p);
+    const apps::ReductionRun active =
+        runReduction(true, apps::ReduceKind::Distributed, p);
+    EXPECT_TRUE(normal.correct);
+    EXPECT_TRUE(active.correct);
+    EXPECT_EQ(normal.latency, 69344000u);
+    EXPECT_EQ(normal.events, 808u);
+    EXPECT_EQ(normal.fingerprint, 0x86a4c7898bc5a293ull);
+    EXPECT_EQ(active.latency, 22814000u);
+    EXPECT_EQ(active.events, 539u);
+    EXPECT_EQ(active.fingerprint, 0x910aa958c6aadedcull);
 }
 
 INSTANTIATE_TEST_SUITE_P(

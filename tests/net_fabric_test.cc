@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "net/Fabric.hh"
+#include "net/Topology.hh"
+#include "net/Traffic.hh"
+#include "obs/Fingerprint.hh"
 #include "sim/Random.hh"
 #include "sim/Simulation.hh"
 
@@ -369,6 +374,35 @@ TEST(Fabric, TreeTopologyAllPairsReachable)
         EXPECT_EQ(h->messagesReceived(), 5u) << h->name();
         EXPECT_EQ(h->bytesReceived(), 500u) << h->name();
     }
+}
+
+TEST(Fabric, FatTreeK4TrafficFingerprintIsPinned)
+{
+    // Uniform multi-packet traffic over a k=4 fat-tree: every hop
+    // goes through Link credit returns and multi-switch wiring. The
+    // constants were recorded from a known-good build; any change to
+    // the event stream (order, count or timing) changes them.
+    if (std::getenv("SAN_FORCE_SWITCH_POLICY") != nullptr)
+        GTEST_SKIP() << "SAN_FORCE_SWITCH_POLICY changes the event "
+                        "stream the fingerprint pins";
+    Simulation s;
+    obs::RunFingerprint fp;
+    s.events().setObserver(&fp);
+    Fabric fabric(s);
+    const Topology topo = buildFatTree(fabric, FatTreeParams{4});
+    FabricTrafficParams p;
+    p.messagesPerHost = 8;
+    p.messageBytes = 4096;
+    FabricTrafficGen gen(s, topo.hosts, topo.hostGroup, p);
+    gen.start();
+    s.run();
+
+    const FabricTrafficReport r = gen.report();
+    EXPECT_EQ(r.deliveredMessages, 16u * 8u);
+    EXPECT_EQ(r.deliveredBytes, 16u * 8u * 4096u);
+    EXPECT_EQ(r.lastDeliveryAt, 87730000u);
+    EXPECT_EQ(fp.eventsFolded(), 10464u);
+    EXPECT_EQ(fp.value(), 0xf089eb55e00b235aull);
 }
 
 } // namespace
