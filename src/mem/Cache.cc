@@ -1,20 +1,37 @@
 #include "mem/Cache.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace san::mem {
 
-Cache::Cache(const CacheParams &params)
-    : params_(params)
+namespace {
+
+/** Lines held by a cache of geometry @p p, once it is checked. */
+std::uint64_t
+checkedLines(const CacheParams &p)
 {
-    assert(params_.lineSize > 0 && params_.assoc > 0);
-    numLines_ = params_.size / params_.lineSize;
-    assert(numLines_ >= params_.assoc);
-    numSets_ = numLines_ / params_.assoc;
-    assert(numSets_ > 0);
-    sets_.assign(numSets_, std::vector<Line>(params_.assoc));
+    if (p.lineSize == 0 || p.assoc == 0)
+        throw std::invalid_argument(
+            p.name + ": line size and associativity must be non-zero");
+    const std::uint64_t setBytes = std::uint64_t{p.lineSize} * p.assoc;
+    if (p.size == 0 || p.size % setBytes != 0)
+        throw std::invalid_argument(
+            p.name + ": size " + std::to_string(p.size) +
+            " B is not a non-zero multiple of lineSize x assoc (" +
+            std::to_string(setBytes) + " B)");
+    return p.size / p.lineSize;
 }
+
+} // namespace
+
+Cache::Cache(const CacheParams &params)
+    : params_(params),
+      numLines_(checkedLines(params)),
+      numSets_(numLines_ / params.assoc),
+      sets_(numSets_, std::vector<Line>(params.assoc)),
+      shadow_(numLines_)
+{}
 
 CacheAccess
 Cache::access(Addr addr, bool write)
@@ -29,7 +46,7 @@ Cache::access(Addr addr, bool write)
             way.dirty |= write;
             ++hits_;
             if (params_.classifyMisses)
-                shadowTouch(line);
+                shadow_.touch(line);
             return CacheAccess{true, MissClass::None, false};
         }
     }
@@ -38,14 +55,20 @@ Cache::access(Addr addr, bool write)
     ++misses_;
     MissClass mc = MissClass::Capacity;
     if (params_.classifyMisses) {
-        mc = classify(line);
-        switch (mc) {
-          case MissClass::Cold: ++cold_; break;
-          case MissClass::Capacity: ++capacity_; break;
-          case MissClass::Conflict: ++conflict_; break;
-          case MissClass::None: break;
+        // A line that a fully-associative cache of the same capacity
+        // would still hold missed only because of the mapping:
+        // conflict. The shadow holds only lines seen before, so any
+        // other line is cold on first touch, and otherwise the
+        // working set simply exceeds capacity.
+        if (shadow_.touch(line)) {
+            mc = MissClass::Conflict;
+            ++conflict_;
+        } else if (seen_.insert(line)) {
+            mc = MissClass::Cold;
+            ++cold_;
+        } else {
+            ++capacity_;
         }
-        shadowTouch(line);
     }
 
     Line *victim = &set[0];
@@ -83,36 +106,6 @@ Cache::invalidateAll()
     for (auto &set : sets_)
         for (auto &way : set)
             way = Line{};
-}
-
-MissClass
-Cache::classify(Addr line)
-{
-    if (!seen_.contains(line)) {
-        seen_.insert(line);
-        return MissClass::Cold;
-    }
-    // Present in a fully-associative cache of the same capacity?
-    // Then only the mapping caused the miss: conflict. Otherwise the
-    // working set simply exceeds capacity.
-    return shadowMap_.contains(line) ? MissClass::Conflict
-                                     : MissClass::Capacity;
-}
-
-void
-Cache::shadowTouch(Addr line)
-{
-    auto it = shadowMap_.find(line);
-    if (it != shadowMap_.end()) {
-        shadowLru_.erase(it->second);
-        shadowMap_.erase(it);
-    }
-    shadowLru_.push_front(line);
-    shadowMap_[line] = shadowLru_.begin();
-    if (shadowLru_.size() > numLines_) {
-        shadowMap_.erase(shadowLru_.back());
-        shadowLru_.pop_back();
-    }
 }
 
 } // namespace san::mem

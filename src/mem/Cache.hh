@@ -11,11 +11,10 @@
 #define SAN_MEM_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
+
+#include "mem/LruSet.hh"
 
 namespace san::mem {
 
@@ -44,6 +43,11 @@ struct CacheAccess {
 class Cache
 {
   public:
+    /**
+     * @throws std::invalid_argument unless the line size and
+     * associativity are non-zero and the size is a non-zero multiple
+     * of lineSize x assoc.
+     */
     explicit Cache(const CacheParams &params);
 
     /**
@@ -87,21 +91,18 @@ class Cache
     Addr lineAddr(Addr a) const { return a / params_.lineSize; }
     std::size_t setIndex(Addr line) const { return line % numSets_; }
 
-    MissClass classify(Addr line);
-    void shadowTouch(Addr line);
-
     CacheParams params_;
-    std::size_t numSets_;
     std::uint64_t numLines_;
+    std::size_t numSets_;
     std::vector<std::vector<Line>> sets_;
     std::uint64_t useClock_ = 0;
 
-    // Miss classification state: set of ever-seen lines (cold) and a
-    // fully-associative LRU shadow of equal capacity (capacity vs
-    // conflict).
-    std::unordered_set<Addr> seen_;
-    std::list<Addr> shadowLru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> shadowMap_;
+    // Miss classification state, allocated on the first classified
+    // access and kept across invalidateAll(): the lines ever seen
+    // (cold) and a fully-associative LRU shadow of equal capacity
+    // (capacity vs conflict).
+    SeenSet seen_;
+    LruSet shadow_;
 
     std::uint64_t hits_ = 0, misses_ = 0;
     std::uint64_t cold_ = 0, capacity_ = 0, conflict_ = 0;
