@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "io/IoRequest.hh"
@@ -162,7 +163,10 @@ ActiveSwitch::ActiveSwitch(sim::Simulation &sim, std::string name,
       pool_(config.buffers), jumpTable_(net::maxHandlerId + 1),
       bufOwner_(config.buffers.count)
 {
-    assert(config_.cpus >= 1 && config_.cpus <= 4);
+    if (config_.cpus < 1 || config_.cpus > 4)
+        throw std::invalid_argument(
+            "ActiveSwitch: cpus must be 1..4, got " +
+            std::to_string(config_.cpus));
     for (unsigned i = 0; i < config_.cpus; ++i) {
         atbs_.emplace_back(config_.atbEntries, config_.buffers.bytes);
         auto mem_params = config_.cpuMem;
@@ -185,7 +189,11 @@ void
 ActiveSwitch::registerHandler(std::uint8_t handler_id, std::string name,
                               HandlerFn fn)
 {
-    assert(handler_id <= net::maxHandlerId);
+    if (handler_id > net::maxHandlerId)
+        throw std::invalid_argument(
+            "ActiveSwitch::registerHandler: handler id " +
+            std::to_string(handler_id) + " exceeds the 6-bit field (max " +
+            std::to_string(net::maxHandlerId) + ")");
     HandlerProfile &prof = profiles_[handler_id];
     prof.id = handler_id;
     prof.name = name;
@@ -201,7 +209,7 @@ ActiveSwitch::registerMetrics(obs::MetricsRegistry &m) const
     net::Switch::registerMetrics(m);
     const std::string &n = name();
     m.add(n + ".dispatchQueue", obs::GaugeKind::Gauge,
-          [this] { return static_cast<double>(pending_.size()); });
+          [this] { return static_cast<double>(waitingCount_); });
     m.add(n + ".chunksStaged", obs::GaugeKind::Rate,
           [this] { return static_cast<double>(staged_); });
     m.add(n + ".dispatchStalls", obs::GaugeKind::Rate,
@@ -255,46 +263,53 @@ ActiveSwitch::dispatch(net::Arrival arrival)
     // buffers, queue behind them.
     const InstanceKey key{arrival.pkt.activeHdr.handlerId,
                           arrival.pkt.activeHdr.cpuId};
-    for (const net::Arrival &waiting : pending_) {
-        const InstanceKey wkey{waiting.pkt.activeHdr.handlerId,
-                               waiting.pkt.activeHdr.cpuId};
-        if (wkey == key) {
-            ++dispatchStalls_;
-            if (auto *tr = sim_.tracer())
-                tr->instant(name(), "dispatch-stall", sim_.now());
-            pending_.push_back(std::move(arrival));
-            return;
-        }
-    }
-    if (!tryStage(arrival)) {
-        ++dispatchStalls_;
-        if (auto *tr = sim_.tracer())
-            tr->instant(name(), "dispatch-stall", sim_.now());
-        pending_.push_back(std::move(arrival));
-    }
+    const auto q = waiting_.find(key);
+    const bool behind = q != waiting_.end() && !q->second.empty();
+    if (!behind && tryStage(arrival))
+        return;
+    ++dispatchStalls_;
+    if (auto *tr = sim_.tracer())
+        tr->instant(name(), "dispatch-stall", sim_.now());
+    waiting_[key].push_back(Waiting{nextWaitSeq_++, std::move(arrival)});
+    ++waitingCount_;
 }
 
 void
 ActiveSwitch::retryPending()
 {
+    if (waitingCount_ == 0)
+        return;
     // Streams are independent: a stalled instance (out of buffers or
     // ATB slots) must not block other instances' packets — only
-    // per-instance order is preserved.
-    std::vector<InstanceKey> blocked;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        const InstanceKey key{it->pkt.activeHdr.handlerId,
-                              it->pkt.activeHdr.cpuId};
-        if (std::find(blocked.begin(), blocked.end(), key) !=
-            blocked.end()) {
-            ++it;
-            continue;
+    // per-instance order is preserved. Waiting arrivals are tried in
+    // the order they were queued, switch-wide: a k-way merge over the
+    // queue heads by sequence number. An instance leaves the walk at
+    // its first failed tryStage, so its later arrivals are never
+    // tried out of order.
+    //
+    // Nothing in the walk re-enters retryPending: tryStage's channel
+    // push defers the handler's wake-up through postNow, and a new
+    // instance's spawn runs its handler only up to its first
+    // nextChunk, which suspends on the still-empty channel.
+    assert(retryHeads_.empty() && "nested retryPending");
+    for (auto &[key, q] : waiting_)
+        if (!q.empty())
+            retryHeads_.push_back(&q);
+    while (!retryHeads_.empty()) {
+        auto first = std::min_element(
+            retryHeads_.begin(), retryHeads_.end(),
+            [](const WaitQueue *a, const WaitQueue *b) {
+                return a->front().seq < b->front().seq;
+            });
+        WaitQueue &q = **first;
+        if (tryStage(q.front().arrival)) {
+            q.pop_front();
+            --waitingCount_;
+            if (!q.empty())
+                continue;
         }
-        if (tryStage(*it)) {
-            it = pending_.erase(it);
-        } else {
-            blocked.push_back(key);
-            ++it;
-        }
+        *first = retryHeads_.back();
+        retryHeads_.pop_back();
     }
 }
 
@@ -303,11 +318,11 @@ ActiveSwitch::tryStage(const net::Arrival &arrival)
 {
     const net::Packet &pkt = arrival.pkt;
     const std::uint8_t hid = pkt.activeHdr.handlerId;
-    if (!jumpTable_[hid]) {
+    // An id beyond the 6-bit field can have no jump-table entry.
+    if (hid > net::maxHandlerId || !jumpTable_[hid]) {
         ++dropped_;
-        const std::uint64_t bit = 1ull << (hid & 63u);
-        if (!(warnedHandlers_ & bit)) {
-            warnedHandlers_ |= bit;
+        if (!warnedHandlers_.test(hid)) {
+            warnedHandlers_.set(hid);
             sim::logAt(sim::LogLevel::Warn, name(), sim_.now(),
                        "no handler registered for id ",
                        static_cast<int>(hid),

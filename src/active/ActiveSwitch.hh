@@ -20,6 +20,7 @@
 #ifndef SAN_ACTIVE_ACTIVE_SWITCH_HH
 #define SAN_ACTIVE_ACTIVE_SWITCH_HH
 
+#include <bitset>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -177,11 +178,14 @@ class HandlerContext
 class ActiveSwitch : public net::Switch
 {
   public:
+    /** @throws std::invalid_argument unless 1 <= config.cpus <= 4. */
     ActiveSwitch(sim::Simulation &sim, std::string name, net::NodeId id,
                  const net::SwitchParams &params,
                  const ActiveConfig &config = {});
 
-    /** Install a handler program under @p handler_id (jump table). */
+    /** Install a handler program under @p handler_id (jump table).
+     * @throws std::invalid_argument if @p handler_id exceeds
+     * net::maxHandlerId. */
     void registerHandler(std::uint8_t handler_id, std::string name,
                          HandlerFn fn);
 
@@ -209,7 +213,7 @@ class ActiveSwitch : public net::Switch
      */
     const fault::ReliableChannel *reliable() const { return rel_.get(); }
     /** Packets waiting on a free buffer / ATB slot right now. */
-    std::size_t pendingDepth() const { return pending_.size(); }
+    std::size_t pendingDepth() const { return waitingCount_; }
 
     /** Per-handler switch-CPU profiles, keyed by handler ID. */
     const std::map<std::uint8_t, HandlerProfile> &
@@ -250,6 +254,14 @@ class ActiveSwitch : public net::Switch
 
     using InstanceKey = std::pair<std::uint8_t, std::uint8_t>;
 
+    /** An arrival waiting for a buffer / ATB slot, stamped with the
+     * switch-wide order in which it was queued. */
+    struct Waiting {
+        std::uint64_t seq;
+        net::Arrival arrival;
+    };
+    using WaitQueue = std::deque<Waiting>;
+
     /** Stage one packet into a buffer + ATB + instance stream. */
     void dispatch(net::Arrival arrival);
     bool tryStage(const net::Arrival &arrival);
@@ -283,7 +295,15 @@ class ActiveSwitch : public net::Switch
     std::map<std::uint8_t, HandlerProfile> profiles_;
 
     std::map<InstanceKey, Instance> instances_;
-    std::deque<net::Arrival> pending_; //!< waiting for buffer/ATB slot
+    /** Per-instance dispatch queues: arrivals waiting for a buffer
+     * or ATB slot, FIFO within one instance's stream. A queue stays
+     * in the map once drained, so a stalling instance does not
+     * reallocate it. */
+    std::map<InstanceKey, WaitQueue> waiting_;
+    std::size_t waitingCount_ = 0; //!< arrivals across all queues
+    std::uint64_t nextWaitSeq_ = 0;
+    /** retryPending's merge frontier, kept to reuse its storage. */
+    std::vector<WaitQueue *> retryHeads_;
     /** Owning instance of each data buffer (or none). */
     std::vector<std::optional<InstanceKey>> bufOwner_;
 
@@ -292,8 +312,9 @@ class ActiveSwitch : public net::Switch
     std::uint64_t dispatchStalls_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t failovers_ = 0;
-    /** Handler ids already warned about (one bit per 6-bit id). */
-    std::uint64_t warnedHandlers_ = 0;
+    /** Header handler ids already warned about (one bit per value
+     * of the 8-bit field). */
+    std::bitset<256> warnedHandlers_;
 
     fault::FaultPlan *plan_ = nullptr;   //!< null: no faults, no cost
     fault::FaultSite *crashSite_ = nullptr;

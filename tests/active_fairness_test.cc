@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
 #include <vector>
 
 #include "active/ActiveSwitch.hh"
@@ -157,6 +159,126 @@ TEST(ActiveFairness, PerInstanceOrderPreservedUnderStalls)
     for (std::size_t i = 1; i < addrs.size(); ++i)
         EXPECT_EQ(addrs[i], addrs[i - 1] + 512);
     EXPECT_GT(f.sw->dispatchStalls(), 0u);
+}
+
+/** An active switch fed arrivals directly, as its ports would. */
+class ProbeSwitch : public ActiveSwitch
+{
+  public:
+    using ActiveSwitch::ActiveSwitch;
+
+    /** Deliver one single-packet active message for handler 1 on
+     * CPU @p cpu, mapped at @p address. */
+    void
+    feed(std::uint8_t cpu, std::uint32_t address)
+    {
+        net::Arrival a;
+        a.pkt.src = 100;
+        a.pkt.dst = id();
+        a.pkt.active = true;
+        a.pkt.activeHdr = net::ActiveHeader{1, address, cpu};
+        deliverLocal(std::move(a));
+    }
+};
+
+TEST(ActiveFairness, DispatchQueuesMergeInArrivalOrderPastBlockedInstances)
+{
+    // Three instances on three CPUs queue interleaved arrivals: A
+    // (CPU 0) is at its buffer quota, B (CPU 1) and C (CPU 2) wait on
+    // ATB conflicts. Each release retries the waiting arrivals in
+    // queueing order; an instance drops out at its first failure, so
+    // its later arrivals never pass it, while other instances' do.
+    Simulation s;
+    ActiveConfig cfg;
+    cfg.cpus = 3;
+    ProbeSwitch sw(s, "probe", 0, net::SwitchParams{8}, cfg);
+    constexpr std::uint32_t kSlotStride = 16 * 512; // same ATB slot
+    std::array<HandlerContext *, 3> ctx{};
+    std::array<std::vector<std::uint32_t>, 3> got;
+    sw.registerHandler(1, "hold", [&](HandlerContext &c) -> Task {
+        ctx[c.cpuIndex()] = &c;
+        for (;;) {
+            const StreamChunk chunk = co_await c.nextChunk();
+            got[c.cpuIndex()].push_back(chunk.address);
+        }
+    });
+    std::array<std::vector<std::uint32_t>, 3> fed;
+    const auto feed = [&](unsigned cpu, std::uint32_t address) {
+        fed[cpu].push_back(address);
+        sw.feed(static_cast<std::uint8_t>(cpu), address);
+    };
+    const auto stagedPrefixes = [&] {
+        for (unsigned i = 0; i < 3; ++i) {
+            ASSERT_LE(got[i].size(), fed[i].size());
+            for (std::size_t j = 0; j < got[i].size(); ++j)
+                EXPECT_EQ(got[i][j], fed[i][j]) << "cpu " << i;
+        }
+    };
+
+    // A fills its quota (16 buffers / 3 live instances = 5); B and C
+    // each map ATB slot 0.
+    for (std::uint32_t j = 0; j < 5; ++j)
+        feed(0, j * 512);
+    feed(1, 0);
+    feed(2, 0);
+    s.run();
+    ASSERT_EQ(sw.bufferQuota(), 5u);
+    EXPECT_EQ(sw.chunksStaged(), 7u);
+    EXPECT_EQ(sw.pendingDepth(), 0u);
+
+    // Three interleaved rounds: A fails its quota, B and C conflict
+    // in slot 0, and every later arrival queues behind its own head.
+    for (std::uint32_t r = 0; r < 3; ++r) {
+        feed(0, (5 + r) * 512);
+        feed(1, kSlotStride + r * 512);
+        feed(2, kSlotStride + r * 512);
+    }
+    s.run();
+    EXPECT_EQ(sw.pendingDepth(), 9u);
+    EXPECT_EQ(sw.dispatchStalls(), 9u);
+    EXPECT_EQ(sw.atb(1).conflicts(), 1u);
+    EXPECT_EQ(sw.atb(2).conflicts(), 1u);
+    stagedPrefixes();
+
+    // Free C's slot: C's three arrivals stage past A's and B's heads,
+    // which are each tried exactly once (one more conflict for B).
+    ctx[2]->deallocateOne(0);
+    EXPECT_EQ(sw.pendingDepth(), 6u);
+    EXPECT_EQ(sw.chunksStaged(), 10u);
+    EXPECT_EQ(sw.atb(1).conflicts(), 2u);
+    EXPECT_EQ(sw.atb(2).conflicts(), 1u);
+    s.run();
+    EXPECT_EQ(got[2].size(), 4u);
+    EXPECT_EQ(got[0].size(), 5u);
+    EXPECT_EQ(got[1].size(), 1u);
+    stagedPrefixes();
+
+    // C's queue is empty; it queues again behind a fresh conflict.
+    feed(2, 2 * kSlotStride);
+    feed(2, 2 * kSlotStride + 512);
+    s.run();
+    EXPECT_EQ(sw.pendingDepth(), 8u);
+
+    // Free B's slot: B drains; C's head is tried once and still
+    // conflicts (slot 0 now holds kSlotStride).
+    ctx[1]->deallocateOne(0);
+    EXPECT_EQ(sw.pendingDepth(), 5u);
+    EXPECT_EQ(sw.atb(2).conflicts(), 3u);
+
+    // Free one of A's buffers: exactly one A arrival fits the quota.
+    ctx[0]->deallocateOne(0);
+    EXPECT_EQ(sw.pendingDepth(), 4u);
+
+    // Free C's first mapping: its head stages, the next conflicts.
+    ctx[2]->deallocateOne(kSlotStride);
+    EXPECT_EQ(sw.pendingDepth(), 3u);
+    s.run();
+    EXPECT_EQ(got[0].size(), 6u);
+    EXPECT_EQ(got[1].size(), 4u);
+    EXPECT_EQ(got[2].size(), 5u);
+    stagedPrefixes();
+    EXPECT_EQ(sw.chunksStaged(),
+              got[0].size() + got[1].size() + got[2].size());
 }
 
 TEST(ActiveFairness, DeallocateOneReleasesExactly)

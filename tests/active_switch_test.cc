@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "active/ActiveSwitch.hh"
@@ -77,6 +79,72 @@ TEST(ActiveSwitch, UnregisteredHandlerDropsPacket)
     }(*f.h, f.sw->id()));
     f.s.run();
     EXPECT_EQ(f.sw->handlersInvoked(), 0u);
+}
+
+TEST(ActiveSwitch, RegisterHandlerRejectsIdBeyondSixBits)
+{
+    ActiveFixture f;
+    const HandlerFn noop = [](HandlerContext &) -> Task { co_return; };
+    EXPECT_NO_THROW(f.sw->registerHandler(net::maxHandlerId, "top", noop));
+    EXPECT_THROW(f.sw->registerHandler(net::maxHandlerId + 1, "x", noop),
+                 std::invalid_argument);
+    EXPECT_THROW(f.sw->registerHandler(255, "x", noop),
+                 std::invalid_argument);
+    EXPECT_EQ(f.sw->handlerProfiles().size(), 1u);
+}
+
+TEST(ActiveSwitch, ConstructorRejectsCpuCountOutsideOneToFour)
+{
+    Simulation s;
+    for (unsigned cpus : {0u, 5u}) {
+        ActiveConfig cfg;
+        cfg.cpus = cpus;
+        EXPECT_THROW(ActiveSwitch(s, "bad", 0, net::SwitchParams{8}, cfg),
+                     std::invalid_argument)
+            << cpus << " cpus";
+    }
+    ActiveConfig four;
+    four.cpus = 4;
+    EXPECT_EQ(ActiveSwitch(s, "ok", 0, net::SwitchParams{8}, four)
+                  .cpuCount(),
+              4u);
+}
+
+TEST(ActiveSwitch, HeaderIdBeyondSixBitsIsDroppedAndCounted)
+{
+    // The header field is 8 bits wide but the jump table has 64
+    // entries: ids 65 and 200 must not alias handlers 1 and 8.
+    ActiveFixture f;
+    int invoked = 0;
+    const HandlerFn count = [&](HandlerContext &ctx) -> Task {
+        (void)co_await ctx.nextChunk();
+        ++invoked;
+    };
+    f.sw->registerHandler(1, "one", count);
+    f.sw->registerHandler(8, "eight", count);
+    f.s.spawn([](host::Host &h, net::NodeId sw) -> Task {
+        co_await h.send(sw, 64, net::ActiveHeader{65, 0, 0});
+        co_await h.send(sw, 64, net::ActiveHeader{200, 0x1000, 0});
+        co_await h.send(sw, 64, net::ActiveHeader{200, 0x2000, 0});
+    }(*f.h, f.sw->id()));
+    testing::internal::CaptureStderr();
+    f.s.run();
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(invoked, 0);
+    EXPECT_EQ(f.sw->handlersInvoked(), 0u);
+    EXPECT_EQ(f.sw->chunksStaged(), 0u);
+    EXPECT_EQ(f.sw->droppedPackets(), 3u);
+    EXPECT_EQ(f.sw->buffers().allocations(), 0u);
+    // Warned once per id.
+    const auto count_of = [&](const std::string &needle) {
+        std::size_t n = 0;
+        for (auto pos = log.find(needle); pos != std::string::npos;
+             pos = log.find(needle, pos + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count_of("id 65;"), 1u);
+    EXPECT_EQ(count_of("id 200;"), 1u);
 }
 
 TEST(ActiveSwitch, MultiPacketMessageMapsRisingAddresses)
