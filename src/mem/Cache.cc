@@ -1,6 +1,8 @@
 #include "mem/Cache.hh"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <stdexcept>
 
 namespace san::mem {
@@ -14,12 +16,21 @@ checkedLines(const CacheParams &p)
     if (p.lineSize == 0 || p.assoc == 0)
         throw std::invalid_argument(
             p.name + ": line size and associativity must be non-zero");
+    // Lines and sets are found by shift and mask.
+    if (!std::has_single_bit(p.lineSize))
+        throw std::invalid_argument(
+            p.name + ": line size " + std::to_string(p.lineSize) +
+            " B is not a power of two");
     const std::uint64_t setBytes = std::uint64_t{p.lineSize} * p.assoc;
     if (p.size == 0 || p.size % setBytes != 0)
         throw std::invalid_argument(
             p.name + ": size " + std::to_string(p.size) +
             " B is not a non-zero multiple of lineSize x assoc (" +
             std::to_string(setBytes) + " B)");
+    if (!std::has_single_bit(p.size / setBytes))
+        throw std::invalid_argument(
+            p.name + ": set count " + std::to_string(p.size / setBytes) +
+            " is not a power of two");
     return p.size / p.lineSize;
 }
 
@@ -27,20 +38,20 @@ checkedLines(const CacheParams &p)
 
 Cache::Cache(const CacheParams &params)
     : params_(params),
-      numLines_(checkedLines(params)),
-      numSets_(numLines_ / params.assoc),
-      sets_(numSets_, std::vector<Line>(params.assoc)),
-      shadow_(numLines_)
+      lines_(checkedLines(params)),
+      lineShift_(static_cast<unsigned>(std::countr_zero(params.lineSize))),
+      setMask_(lines_.size() / params.assoc - 1),
+      shadow_(lines_.size())
 {}
 
 CacheAccess
 Cache::access(Addr addr, bool write)
 {
     const Addr line = lineAddr(addr);
-    auto &set = sets_[setIndex(line)];
+    const std::span<Line> ways(&lines_[setBase(line)], params_.assoc);
     ++useClock_;
 
-    for (auto &way : set) {
+    for (auto &way : ways) {
         if (way.valid && way.tag == line) {
             way.lastUse = useClock_;
             way.dirty |= write;
@@ -71,8 +82,8 @@ Cache::access(Addr addr, bool write)
         }
     }
 
-    Line *victim = &set[0];
-    for (auto &way : set) {
+    Line *victim = &ways[0];
+    for (auto &way : ways) {
         if (!way.valid) {
             victim = &way;
             break;
@@ -94,8 +105,8 @@ bool
 Cache::contains(Addr addr) const
 {
     const Addr line = lineAddr(addr);
-    const auto &set = sets_[setIndex(line)];
-    return std::any_of(set.begin(), set.end(), [&](const Line &way) {
+    const std::span<const Line> ways(&lines_[setBase(line)], params_.assoc);
+    return std::ranges::any_of(ways, [&](const Line &way) {
         return way.valid && way.tag == line;
     });
 }
@@ -103,9 +114,7 @@ Cache::contains(Addr addr) const
 void
 Cache::invalidateAll()
 {
-    for (auto &set : sets_)
-        for (auto &way : set)
-            way = Line{};
+    std::ranges::fill(lines_, Line{});
 }
 
 } // namespace san::mem

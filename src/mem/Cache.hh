@@ -45,8 +45,10 @@ class Cache
   public:
     /**
      * @throws std::invalid_argument unless the line size and
-     * associativity are non-zero and the size is a non-zero multiple
-     * of lineSize x assoc.
+     * associativity are non-zero, the size is a non-zero multiple of
+     * lineSize x assoc, and both the line size and the set count
+     * (size / (lineSize x assoc)) are powers of two. The
+     * associativity may be any value.
      */
     explicit Cache(const CacheParams &params);
 
@@ -63,7 +65,7 @@ class Cache
     void invalidateAll();
 
     const CacheParams &params() const { return params_; }
-    std::uint64_t numLines() const { return numLines_; }
+    std::uint64_t numLines() const { return lines_.size(); }
 
     /** @{ Statistics. */
     std::uint64_t hits() const { return hits_; }
@@ -88,13 +90,18 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
-    Addr lineAddr(Addr a) const { return a / params_.lineSize; }
-    std::size_t setIndex(Addr line) const { return line % numSets_; }
+    Addr lineAddr(Addr a) const { return a >> lineShift_; }
+    /** Index in lines_ of the first way of the set holding @p line. */
+    std::size_t
+    setBase(Addr line) const
+    {
+        return static_cast<std::size_t>(line & setMask_) * params_.assoc;
+    }
 
     CacheParams params_;
-    std::uint64_t numLines_;
-    std::size_t numSets_;
-    std::vector<std::vector<Line>> sets_;
+    std::vector<Line> lines_; //!< set s holds lines_[s*assoc, (s+1)*assoc)
+    unsigned lineShift_;
+    Addr setMask_;
     std::uint64_t useClock_ = 0;
 
     // Miss classification state, allocated on the first classified

@@ -5,6 +5,9 @@
  * shadow cache) and an insert-only key set (the classifier's
  * ever-seen lines).
  *
+ * The LRU set is a circular, sentinel-headed recency list over a
+ * node array, indexed by hash chains threaded through the same
+ * nodes; the seen set is a linear-probing table of bitmap chunks.
  * Neither allocates per access. The LRU set allocates its arrays on
  * first use and never again; the seen set allocates on first use and
  * then grows only when a key opens a new 512-key chunk. A cache that
@@ -14,6 +17,7 @@
 #ifndef SAN_MEM_LRU_SET_HH
 #define SAN_MEM_LRU_SET_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -38,11 +42,16 @@ struct FibonacciHash {
  * A set of at most capacity() keys in recency order: touching an
  * absent key into a full set evicts the least recently used one.
  *
- * The recency list is intrusive over an array of capacity() nodes;
- * a linear-probing index of at least 2 x capacity() slots maps each
- * key to its node and deletes by backward shift, so it never holds
- * tombstones. @p Hash maps a key to 64 bits whose top bits pick the
- * home slot.
+ * The recency list is intrusive and circular over an array of
+ * capacity() + 1 nodes; the last node is a sentinel whose next is
+ * the most and whose prev the least recently used key, so linking
+ * and unlinking never test for an end. A chained index of at least
+ * 2 x capacity() buckets, each the head of a singly-linked chain
+ * threaded through the nodes, maps a key to its node. A miss into a
+ * full set unlinks the tail node from its chain, reuses it for the
+ * new key and pushes it on that key's chain: nothing moves and
+ * nothing is looked up twice. @p Hash maps a key to 64 bits whose
+ * top bits pick the bucket.
  */
 template <typename Hash = FibonacciHash>
 class BasicLruSet
@@ -55,7 +64,7 @@ class BasicLruSet
             throw std::invalid_argument(
                 "LRU set capacity must be in [1, 2^31), got " +
                 std::to_string(capacity));
-        slotBits_ = static_cast<unsigned>(
+        bucketBits_ = static_cast<unsigned>(
             std::bit_width(2 * capacity - 1));
     }
 
@@ -66,30 +75,30 @@ class BasicLruSet
     bool
     touch(std::uint64_t key)
     {
-        if (slots_.empty()) {
-            slots_.assign(std::size_t{1} << slotBits_, Slot{});
-            nodes_.resize(capacity_);
+        if (buckets_.empty()) {
+            buckets_.assign(std::size_t{1} << bucketBits_, kNone);
+            nodes_.resize(capacity_ + 1);
+            resetList();
         }
-        std::size_t s = find(key);
-        if (slots_[s].node != kNone) {
-            const std::uint32_t n = slots_[s].node;
-            if (n != head_) {
+        std::uint32_t &head = buckets_[bucket(key)];
+        for (std::uint32_t n = head; n != kNone; n = nodes_[n].chain) {
+            if (nodes_[n].key == key) {
                 unlink(n);
                 pushFront(n);
+                return true;
             }
-            return true;
         }
         std::uint32_t n;
         if (size_ < capacity_) {
             n = static_cast<std::uint32_t>(size_++);
         } else {
-            n = tail_;
+            n = nodes_[sentinel()].prev;
             unlink(n);
-            erase(find(nodes_[n].key));
-            s = find(key); // the shift may have moved the free slot
+            unchain(n);
         }
         nodes_[n].key = key;
-        slots_[s] = Slot{key, n};
+        nodes_[n].chain = head;
+        head = n;
         pushFront(n);
         return false;
     }
@@ -97,16 +106,24 @@ class BasicLruSet
     bool
     contains(std::uint64_t key) const
     {
-        return !slots_.empty() && slots_[find(key)].node != kNone;
+        if (buckets_.empty())
+            return false;
+        for (std::uint32_t n = buckets_[bucket(key)]; n != kNone;
+             n = nodes_[n].chain)
+            if (nodes_[n].key == key)
+                return true;
+        return false;
     }
 
     /** Empty the set, keeping its storage. */
     void
     clear()
     {
-        slots_.assign(slots_.size(), Slot{});
+        if (buckets_.empty())
+            return;
+        std::fill(buckets_.begin(), buckets_.end(), kNone);
         size_ = 0;
-        head_ = tail_ = kNone;
+        resetList();
     }
 
     std::size_t size() const { return size_; }
@@ -117,73 +134,60 @@ class BasicLruSet
 
     struct Node {
         std::uint64_t key = 0;
-        std::uint32_t prev = kNone, next = kNone;
-    };
-    struct Slot {
-        std::uint64_t key = 0;
-        std::uint32_t node = kNone; //!< kNone: empty
+        std::uint32_t prev = 0, next = 0; //!< recency list
+        std::uint32_t chain = kNone;      //!< next node in the bucket
     };
 
-    std::size_t mask() const { return slots_.size() - 1; }
-
-    std::size_t
-    home(std::uint64_t key) const
+    std::uint32_t sentinel() const
     {
-        return static_cast<std::size_t>(Hash{}(key) >> (64 - slotBits_));
+        return static_cast<std::uint32_t>(capacity_);
     }
 
-    /** The slot holding @p key, or the empty slot ending its probe. */
     std::size_t
-    find(std::uint64_t key) const
+    bucket(std::uint64_t key) const
     {
-        std::size_t s = home(key);
-        while (slots_[s].node != kNone && slots_[s].key != key)
-            s = (s + 1) & mask();
-        return s;
+        return static_cast<std::size_t>(Hash{}(key) >> (64 - bucketBits_));
     }
 
-    /** Empty slot @p s, shifting later members of its run back. */
     void
-    erase(std::size_t s)
+    resetList()
     {
-        for (std::size_t j = s;;) {
-            j = (j + 1) & mask();
-            if (slots_[j].node == kNone)
-                break;
-            // Move the entry at j into the hole unless its home lies
-            // cyclically in (s, j]: then the hole is not on its probe.
-            if (((j - home(slots_[j].key)) & mask()) >= ((j - s) & mask())) {
-                slots_[s] = slots_[j];
-                s = j;
-            }
-        }
-        slots_[s].node = kNone;
+        nodes_[sentinel()].prev = nodes_[sentinel()].next = sentinel();
+    }
+
+    /** Remove node @p n from its bucket's chain. */
+    void
+    unchain(std::uint32_t n)
+    {
+        std::uint32_t *link = &buckets_[bucket(nodes_[n].key)];
+        while (*link != n)
+            link = &nodes_[*link].chain;
+        *link = nodes_[n].chain;
     }
 
     void
     unlink(std::uint32_t n)
     {
-        Node &x = nodes_[n];
-        (x.prev == kNone ? head_ : nodes_[x.prev].next) = x.next;
-        (x.next == kNone ? tail_ : nodes_[x.next].prev) = x.prev;
+        const Node &x = nodes_[n];
+        nodes_[x.prev].next = x.next;
+        nodes_[x.next].prev = x.prev;
     }
 
     void
     pushFront(std::uint32_t n)
     {
-        nodes_[n].prev = kNone;
-        nodes_[n].next = head_;
-        (head_ == kNone ? tail_ : nodes_[head_].prev) = n;
-        head_ = n;
+        Node &s = nodes_[sentinel()];
+        nodes_[n].prev = sentinel();
+        nodes_[n].next = s.next;
+        nodes_[s.next].prev = n;
+        s.next = n;
     }
 
     std::size_t capacity_;
-    unsigned slotBits_ = 0;
+    unsigned bucketBits_ = 0;
     std::size_t size_ = 0;
-    std::uint32_t head_ = kNone; //!< most recently used
-    std::uint32_t tail_ = kNone; //!< least recently used
-    std::vector<Node> nodes_;
-    std::vector<Slot> slots_;
+    std::vector<Node> nodes_;            //!< capacity_ + 1 with sentinel
+    std::vector<std::uint32_t> buckets_; //!< chain heads, kNone: empty
 };
 
 using LruSet = BasicLruSet<>;

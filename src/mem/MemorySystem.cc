@@ -1,6 +1,7 @@
 #include "mem/MemorySystem.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace san::mem {
 
@@ -43,6 +44,9 @@ MemorySystem::MemorySystem(const MemorySystemParams &params)
       l1d_(params.l1d),
       itlb_(params.tlbEntries, params.pageSize),
       dtlb_(params.tlbEntries, params.pageSize),
+      l1iShift_(static_cast<unsigned>(std::countr_zero(params.l1i.lineSize))),
+      l1dShift_(static_cast<unsigned>(std::countr_zero(params.l1d.lineSize))),
+      pageShift_(static_cast<unsigned>(std::countr_zero(params.pageSize))),
       dram_(params.dram)
 {
     if (params.l2)
@@ -75,7 +79,7 @@ MemorySystem::walk(Addr vaddr, sim::Tick now)
 {
     // Model the fill as one dependent load of a page-table entry at a
     // synthetic physical address derived from the page number.
-    const Addr pte = 0x7000000000ull + (vaddr / params_.pageSize) * 8;
+    const Addr pte = 0x7000000000ull + (vaddr >> pageShift_) * 8;
     sim::Tick lat = params_.tlbWalkOverhead;
     auto res = l1d_.access(pte, false);
     if (!res.hit)
@@ -91,16 +95,16 @@ MemorySystem::dataAccess(Addr addr, std::uint64_t bytes, AccessKind kind,
         return 0;
 
     const unsigned line = params_.l1d.lineSize;
-    const Addr first = addr / line;
-    const Addr last = (addr + bytes - 1) / line;
+    const Addr first = addr >> l1dShift_;
+    const Addr last = (addr + bytes - 1) >> l1dShift_;
     const unsigned depth =
         kind == AccessKind::Load ? 1 : std::max(1u, params_.overlapDepth);
 
     sim::Tick stall = 0;
     Addr prev_page = ~Addr(0);
     for (Addr la = first; la <= last; ++la) {
-        const Addr byte_addr = la * line;
-        const Addr page = byte_addr / params_.pageSize;
+        const Addr byte_addr = la << l1dShift_;
+        const Addr page = byte_addr >> pageShift_;
         if (page != prev_page) {
             prev_page = page;
             if (!dtlb_.access(byte_addr))
@@ -127,14 +131,13 @@ MemorySystem::instFetch(Addr pc, std::uint64_t bytes, sim::Tick now)
 {
     if (bytes == 0)
         return 0;
-    const unsigned line = params_.l1i.lineSize;
-    const Addr first = pc / line;
-    const Addr last = (pc + bytes - 1) / line;
+    const Addr first = pc >> l1iShift_;
+    const Addr last = (pc + bytes - 1) >> l1iShift_;
     sim::Tick stall = 0;
     Addr prev_page = ~Addr(0);
     for (Addr la = first; la <= last; ++la) {
-        const Addr byte_addr = la * line;
-        const Addr page = byte_addr / params_.pageSize;
+        const Addr byte_addr = la << l1iShift_;
+        const Addr page = byte_addr >> pageShift_;
         if (page != prev_page) {
             prev_page = page;
             if (!itlb_.access(byte_addr))

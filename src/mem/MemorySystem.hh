@@ -69,6 +69,10 @@ MemorySystemParams switchMemoryParams();
 class MemorySystem
 {
   public:
+    /**
+     * @throws std::invalid_argument if a cache or TLB rejects its
+     * geometry (see Cache and Tlb).
+     */
     explicit MemorySystem(const MemorySystemParams &params);
 
     /**
@@ -106,6 +110,7 @@ class MemorySystem
     Cache l1i_, l1d_;
     std::optional<Cache> l2_;
     Tlb itlb_, dtlb_;
+    unsigned l1iShift_, l1dShift_, pageShift_; //!< log2 of the sizes
     Rdram dram_;
     sim::Tick stall_ = 0;
 };

@@ -137,6 +137,36 @@ TEST(Cache, RejectsSizeNotMultipleOfSetBytes)
     EXPECT_THROW(Cache(tiny(0, 2, 64)), std::invalid_argument);
 }
 
+/** The message of the std::invalid_argument that building @p p throws. */
+std::string
+geometryError(const CacheParams &p)
+{
+    try {
+        Cache c(p);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Cache, RejectsLineSizeNotPowerOfTwo)
+{
+    // 96 B lines, 2 ways, 4 sets: every other condition holds.
+    const std::string what = geometryError(tiny(4 * 2 * 96, 2, 96));
+    EXPECT_NE(what.find("tiny"), std::string::npos) << what;
+    EXPECT_NE(what.find("line size 96"), std::string::npos) << what;
+}
+
+TEST(Cache, RejectsSetCountNotPowerOfTwo)
+{
+    // 3 sets of 2 ways of 64 B lines.
+    const std::string what = geometryError(tiny(3 * 2 * 64, 2, 64));
+    EXPECT_NE(what.find("tiny"), std::string::npos) << what;
+    EXPECT_NE(what.find("set count 3"), std::string::npos) << what;
+    // Any associativity is fine: 4 sets of 3 ways.
+    EXPECT_EQ(geometryError(tiny(4 * 3 * 64, 3, 64)), "");
+}
+
 TEST(Cache, SequentialStreamMissesOncePerLine)
 {
     Cache c(tiny(32 * 1024, 2, 128, false));
@@ -208,6 +238,13 @@ TEST(Tlb, RejectsZeroEntries)
 TEST(Tlb, RejectsZeroPageSize)
 {
     EXPECT_THROW(Tlb(64, 0), std::invalid_argument);
+}
+
+TEST(Tlb, RejectsPageSizeNotPowerOfTwo)
+{
+    EXPECT_THROW(Tlb(64, 3000), std::invalid_argument);
+    // Any non-zero entry count is fine.
+    EXPECT_NO_THROW(Tlb(48, 8192));
 }
 
 // --- Differential test of the 3C classifier --------------------------
@@ -475,8 +512,8 @@ TEST(LruSet, RejectsZeroCapacity)
     EXPECT_THROW(LruSet(0), std::invalid_argument);
 }
 
-/** Odd keys home to the last slot, even keys to the first, so the
- * two probe runs wrap into each other. */
+/** Odd keys hash to the last bucket and even keys to the first, so
+ * every key shares its chain with half of the others. */
 struct TwoHomesHash {
     std::uint64_t
     operator()(std::uint64_t key) const
@@ -485,11 +522,11 @@ struct TwoHomesHash {
     }
 };
 
-TEST(LruSet, BackwardShiftDeletionUnderForcedCollisions)
+TEST(LruSet, ChainUnlinkUnderForcedCollisions)
 {
-    // Churn a small set whose keys all collide into two wrapping
-    // runs, so every eviction deletes from the middle of a run.
-    // After each step the set must agree with a plain recency list.
+    // Churn a small set whose keys all fall into two buckets, so
+    // every eviction unlinks a node from a chain of several. After
+    // each step the set must agree with a plain recency list.
     constexpr std::size_t cap = 5;
     BasicLruSet<TwoHomesHash> s(cap);
     std::list<std::uint64_t> ref; // most recent first
@@ -511,6 +548,143 @@ TEST(LruSet, BackwardShiftDeletionUnderForcedCollisions)
                 << "step " << i << " key " << k;
     }
 }
+
+/** A std::list + std::unordered_map LRU set: the reference. */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+    bool
+    touch(std::uint64_t key)
+    {
+        const auto it = where_.find(key);
+        const bool present = it != where_.end();
+        if (present)
+            order_.erase(it->second);
+        order_.push_front(key);
+        where_[key] = order_.begin();
+        if (order_.size() > capacity_) {
+            where_.erase(order_.back());
+            order_.pop_back();
+        }
+        return present;
+    }
+
+    bool contains(std::uint64_t key) const { return where_.contains(key); }
+    std::size_t size() const { return order_.size(); }
+
+    void
+    clear()
+    {
+        order_.clear();
+        where_.clear();
+    }
+
+  private:
+    std::size_t capacity_;
+    std::list<std::uint64_t> order_; // most recent first
+    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+        where_;
+};
+
+/**
+ * @p n keys whose FibonacciHash products share their top 32 bits, so
+ * they share one bucket of any index of up to 2^32 buckets. They are
+ * made by multiplying chosen products by the hash constant's inverse
+ * modulo 2^64.
+ */
+std::vector<std::uint64_t>
+sameBucketKeys(std::size_t n)
+{
+    const std::uint64_t c = FibonacciHash{}(1);
+    std::uint64_t inv = c; // Newton: each step doubles the good bits
+    for (int i = 0; i < 6; ++i)
+        inv *= 2 - c * inv;
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t j = 0; j < n; ++j)
+        keys.push_back(inv * ((0x5A5A5A5Aull << 32) | j));
+    return keys;
+}
+
+enum class LruStream { Random, Strided, SameBucket };
+
+class LruSetDifferential
+    : public ::testing::TestWithParam<std::tuple<std::size_t, LruStream>>
+{};
+
+TEST_P(LruSetDifferential, MatchesListAndMapReference)
+{
+    const auto [cap, kind] = GetParam();
+    // Every stream draws from about 1.5 x capacity keys, so it both
+    // hits and evicts; SameBucket keys all share one chain.
+    const std::size_t universe = cap + cap / 2 + 2;
+    std::vector<std::uint64_t> pool;
+    if (kind == LruStream::SameBucket) {
+        pool = sameBucketKeys(universe);
+        for (std::size_t i = 1; i < pool.size(); ++i)
+            ASSERT_EQ(FibonacciHash{}(pool[i]) >> 32,
+                      FibonacciHash{}(pool[0]) >> 32);
+    } else {
+        for (std::uint64_t k = 0; k < universe; ++k)
+            pool.push_back(kind == LruStream::Strided ? k * 4096 : k);
+    }
+
+    LruSet s(cap);
+    ReferenceLru ref(cap);
+    Random rng(cap * 3 + std::size_t(kind));
+    const int steps = 20000;
+    for (int i = 0; i < steps; ++i) {
+        if (i == steps / 2) {
+            s.clear();
+            ref.clear();
+            ASSERT_EQ(s.size(), 0u);
+        }
+        std::uint64_t key = 0;
+        switch (kind) {
+          case LruStream::Random:
+          case LruStream::SameBucket:
+            key = pool[rng.below(pool.size())];
+            break;
+          case LruStream::Strided:
+            // Phases: a cyclic sweep one key wider than the set (all
+            // misses), then one over half of it (hits after a pass).
+            key = (i / 2000) % 2 == 0
+                      ? pool[std::size_t(i) % (cap + 1)]
+                      : pool[std::size_t(i) % std::max<std::size_t>(
+                                                  1, cap / 2)];
+            break;
+        }
+        ASSERT_EQ(s.touch(key), ref.touch(key)) << "step " << i;
+        ASSERT_EQ(s.size(), ref.size()) << "step " << i;
+        for (int j = 0; j < 4; ++j) {
+            const std::uint64_t probe = pool[rng.below(pool.size())];
+            ASSERT_EQ(s.contains(probe), ref.contains(probe))
+                << "step " << i << " key " << probe;
+        }
+    }
+    for (const std::uint64_t k : pool)
+        EXPECT_EQ(s.contains(k), ref.contains(k)) << k;
+}
+
+std::string
+lruCaseName(
+    const ::testing::TestParamInfo<std::tuple<std::size_t, LruStream>>
+        &info)
+{
+    const auto [cap, kind] = info.param;
+    const char *const kinds[] = {"Random", "Strided", "SameBucket"};
+    return kinds[static_cast<int>(kind)] + std::string("Cap") +
+           std::to_string(cap);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, LruSetDifferential,
+    ::testing::Combine(::testing::Values(1, 2, 3, 64, 512),
+                       ::testing::Values(LruStream::Random,
+                                         LruStream::Strided,
+                                         LruStream::SameBucket)),
+    lruCaseName);
 
 TEST(SeenSet, InsertReportsFirstTouchOnly)
 {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mem/MemorySystem.hh"
 
 namespace {
@@ -32,6 +34,13 @@ TEST(MemorySystem, PresetGeometriesMatchPaper)
     EXPECT_EQ(sw.l1d.lineSize, 32u);
     EXPECT_FALSE(sw.l2.has_value());
     EXPECT_EQ(sw.overlapDepth, 1u);
+}
+
+TEST(MemorySystem, RejectsPageSizeNotPowerOfTwo)
+{
+    auto params = hostMemoryParams();
+    params.pageSize = 6000;
+    EXPECT_THROW(MemorySystem{params}, std::invalid_argument);
 }
 
 TEST(MemorySystem, HitAfterFillIsFree)
